@@ -2,18 +2,22 @@
 
 The quotient of the n-site Pauli group by its phase center is the additive
 group Z_d^{2n} in (x, z) coordinates, so subgroups, annihilators and maximal
-Abelian extensions are all integer computations.  Dense matrices appear only
-in tests and in downstream modules.
+Abelian extensions are integer linear algebra over Z_d.  One code path serves
+every d >= 2, prime or composite: a subgroup is held as the Howell form of its
+generator rows, and its elements are enumerated from those rows, never found
+by scanning P_n.  Dense matrices appear only in tests and in downstream
+modules.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalAmbiguityError, PreconditionError
+from .errors import PreconditionError
 from .pauli import PauliClass, omega_power
 
 __all__ = [
@@ -29,65 +33,159 @@ __all__ = [
     "is_abelian",
 ]
 
-# Above this many classes the annihilator switches from a direct scan over
-# all of P_n to solving the symplectic linear system over Z_d.
-_SCAN_LIMIT = 4096
-
 _DEFAULT_MAX_SIZE = 10**6
 
 
 def all_classes(d: int, n: int, max_count: int = _DEFAULT_MAX_SIZE) -> list[PauliClass]:
     """Every class of P_n in canonical order (per-site (z, x), site n slow)."""
-    total = d ** (2 * n)
-    if total > max_count:
-        raise PreconditionError(
-            f"P_n has {total} classes, above the enumeration bound {max_count}"
-        )
-    out = []
-    for digits in itertools.product(range(d), repeat=2 * n):
-        # digits = (z_n, x_n, ..., z_1, x_1) per the canonical key
-        z = tuple(digits[2 * k] for k in range(n - 1, -1, -1))
-        x = tuple(digits[2 * k + 1] for k in range(n - 1, -1, -1))
-        out.append(PauliClass(d, n, x, z))
+    return list(annihilator(close((), d=d, n=n), max_count))
+
+
+def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Howell form of the row span of ``rows`` over Z_d, with its pivot columns.
+
+    The rows are in echelon form, each pivot entry divides d, and every element
+    of the span that vanishes before a pivot column lies in the span of the
+    rows from that pivot on.  So each element of the span is sum_i l_i h_i for
+    exactly one choice of 0 <= l_i < d / h_i[pivot_i].
+    """
+    a = np.asarray(rows, dtype=np.int64) % d
+    out, pivots = [], []
+    for c in range(a.shape[1]):
+        a = a[a.any(axis=1)]
+        if not a[:, c].any():
+            continue
+        i = int(np.argmin(np.gcd(a[:, c], d)))
+        p, a = a[i], np.delete(a, i, axis=0)
+        while True:
+            # scale the pivot by a unit so that it divides d
+            g = math.gcd(int(p[c]), d)
+            units = (u for u in range(1, d + 1) if math.gcd(u, d) == 1)
+            p = p * next(u for u in units if u * p[c] % d == g) % d
+            bad = np.flatnonzero(a[:, c] % g)
+            if not bad.size:
+                break
+            # Z_d has stable rank 1: some p_c + t r_c generates the ideal (p_c, r_c)
+            r = a[bad[0]]
+            h = math.gcd(g, int(r[c]))
+            t = next(t for t in range(d) if math.gcd(g + t * int(r[c]), d) == h)
+            p = (p + t * r) % d
+        a = (a - (a[:, c] // g)[:, None] * p) % d
+        a = np.vstack([a, d // g * p % d])
+        out.append(p)
+        pivots.append(c)
+    return np.array(out, dtype=np.int64).reshape(len(out), a.shape[1]), tuple(pivots)
+
+
+def _kernel(a, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Howell form of {v : a v = 0 (mod d)}, for any d.
+
+    Row-reducing [a^T | I] over Z_d, the transpose of column-reducing
+    [a | d I] over Z, leaves the solutions as the rows that vanish on the a^T
+    block; by the Howell property those rows span all of them.
+    """
+    r, m = a.shape
+    h, pivots = _howell(np.hstack([a.T, np.eye(m, dtype=np.int64)]), d)
+    keep = [i for i, c in enumerate(pivots) if c >= r]
+    return h[keep, r:], tuple(pivots[i] - r for i in keep)
+
+
+def _residue(rows, K: PauliSubgroup) -> np.ndarray:
+    """Rows reduced by the Howell rows of K; a row reduces to zero iff it lies in K."""
+    out = np.array(rows, dtype=np.int64)
+    for h, c in zip(K._gens, K._pivots):
+        out = (out - (out[:, c] // h[c])[:, None] * h) % K.d
     return out
 
 
-@dataclass(frozen=True)
+def _class_rows(classes, n: int) -> np.ndarray:
+    rows = np.array([c.x + c.z for c in classes], dtype=np.int64)
+    return rows.reshape(len(classes), 2 * n)
+
+
 class PauliSubgroup:
-    """A multiplicatively closed set of Pauli classes, canonically ordered."""
+    """A multiplicatively closed set of Pauli classes, canonically ordered.
 
-    d: int
-    n: int
-    elements: tuple[PauliClass, ...]
-    _index: frozenset = field(repr=False, compare=False, default=None)
+    The group is held as the Howell form of its generator rows.  Its elements
+    are enumerated from those rows on first use into one array of (x | z) rows,
+    in canonical class order and in the smallest unsigned dtype that holds
+    2(d - 1) (uint8 for d <= 128).  PauliClass objects are made only when the
+    group is iterated or its ``elements`` are read.
+    """
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements), key=lambda c: c.key()))
-        if not elems or not elems[0].is_identity:
+    def __init__(self, d: int, n: int, elements):
+        elements = tuple(elements)
+        if not any(c.is_identity for c in elements):
             raise PreconditionError("a subgroup must contain the identity class")
-        for c in elems:
-            if c.d != self.d or c.n != self.n:
-                raise PreconditionError("subgroup elements on mismatched spaces")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_index", frozenset((c.x, c.z) for c in elems))
+        if any(c.d != d or c.n != n for c in elements):
+            raise PreconditionError("subgroup elements on mismatched spaces")
+        rows = _class_rows(elements, n)
+        self._set(d, n, *_howell(rows, d))
+        if len(np.unique(rows, axis=0)) != len(self):
+            raise PreconditionError("subgroup elements are not closed under products")
+
+    def _set(self, d, n, gens, pivots):
+        self.d, self.n, self._gens, self._pivots = d, n, gens, pivots
+        self._size = math.prod(d // int(h[c]) for h, c in zip(gens, pivots))
+
+    @classmethod
+    def _from_howell(cls, d, n, gens, pivots, max_size=_DEFAULT_MAX_SIZE):
+        K = cls.__new__(cls)
+        K._set(d, n, gens, pivots)
+        if len(K) > max_size:
+            raise PreconditionError(f"{len(K)} elements, above the bound {max_size}")
+        return K
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Read-only (x | z) exponent rows of all elements, canonical order."""
+        d, n, width = self.d, self.n, 2 * self.n
+        dtype = np.min_scalar_type(2 * (d - 1))
+        out = np.zeros((1, width), dtype=dtype)
+        for h, c in zip(self._gens, self._pivots):
+            steps = (np.arange(d // h[c])[:, None] * h % d).astype(dtype)
+            out = (steps[:, None, :] + out[None, :, :]).reshape(-1, width)
+            out %= d
+        # np.lexsort's last key is primary: keys (x_1, z_1, ..., x_n, z_n)
+        out = out[np.lexsort([out[:, k + s] for k in range(n) for s in (0, n)])]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def elements(self) -> tuple[PauliClass, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._size
 
     def __iter__(self):
-        return iter(self.elements)
+        d, n = self.d, self.n
+        for r in self.rows.tolist():
+            yield PauliClass._unchecked(d, n, tuple(r[:n]), tuple(r[n:]))
 
-    def __contains__(self, c: PauliClass) -> bool:
-        return (c.x, c.z) in self._index
+    def __contains__(self, c) -> bool:
+        space = (c.d, c.n) == (self.d, self.n)
+        return space and not _residue(_class_rows([c], self.n), self).any()
 
     def issubset(self, other: "PauliSubgroup") -> bool:
-        return all(c in other for c in self.elements)
+        space = (self.d, self.n) == (other.d, other.n)
+        return space and not _residue(self._gens, other).any()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PauliSubgroup):
+            return NotImplemented
+        return len(self) == len(other) and self.issubset(other)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.n, len(self)))
+
+    def __repr__(self) -> str:
+        return f"PauliSubgroup(d={self.d}, n={self.n}, size={len(self)})"
 
     def xz_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponent vectors of all elements as integer arrays of shape (m, n)."""
-        xs = np.array([c.x for c in self.elements], dtype=np.int64)
-        zs = np.array([c.z for c in self.elements], dtype=np.int64)
-        return xs, zs
+        rows = self.rows.astype(np.int64)
+        return rows[:, : self.n], rows[:, self.n :]
 
 
 def close(
@@ -106,58 +204,30 @@ def close(
     gens = [g if isinstance(g, PauliClass) else g.pauli_class() for g in generators]
     if gens:
         d, n = gens[0].d, gens[0].n
-        for g in gens:
-            if g.d != d or g.n != n:
-                raise PreconditionError("generators on mismatched spaces")
+        if any((g.d, g.n) != (d, n) for g in gens):
+            raise PreconditionError("generators on mismatched spaces")
     elif d is None or n is None:
         raise PreconditionError("close() with no generators needs explicit d and n")
-
-    ident = PauliClass.identity(d, n)
-    seen = {(ident.x, ident.z): ident}
-    frontier = [ident]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            c = base * g
-            key = (c.x, c.z)
-            if key not in seen:
-                if len(seen) >= max_size:
-                    raise PreconditionError(
-                        f"closure exceeded the size bound {max_size}"
-                    )
-                seen[key] = c
-                frontier.append(c)
-    return PauliSubgroup(d, n, tuple(seen.values()))
+    else:
+        PauliClass.identity(d, n)  # raises unless d >= 2 and n >= 1
+    return PauliSubgroup._from_howell(d, n, *_howell(_class_rows(gens, n), d), max_size)
 
 
 def generating_set(K: PauliSubgroup) -> list[PauliClass]:
-    """A small generating set, chosen greedily in canonical order."""
-    gens: list[PauliClass] = []
-    span = close((), d=K.d, n=K.n)
-    for c in K.elements:
-        if c not in span:
-            gens.append(c)
-            span = close(gens)
-            if len(span) == len(K):
-                break
-    return gens
+    """The Howell generator rows of K as classes: at most one per column, so 2n."""
+    n = K.n
+    return [PauliClass(K.d, n, tuple(h[:n]), tuple(h[n:])) for h in K._gens.tolist()]
 
 
-def _chi_table(xa, za, xb, zb, d) -> np.ndarray:
-    """Omega exponents chi(a, b) for all row/column pairs, shape (ma, mb)."""
-    return (xa @ zb.T - za @ xb.T) % d
+def _chi_rows(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Omega exponents chi(a_i, b_j) of (x | z) rows, shape (len(a), len(b))."""
+    n = a.shape[1] // 2
+    return (a[:, :n] @ b[:, n:].T - a[:, n:] @ b[:, :n].T) % d
 
 
 def is_abelian(K: PauliSubgroup) -> bool:
-    """True iff chi(a, b) = 1 for every pair of elements."""
-    xs, zs = K.xz_arrays()
-    m = len(K)
-    step = max(1, min(m, 2**22 // max(m, 1)))
-    for lo in range(0, m, step):
-        t = _chi_table(xs[lo : lo + step], zs[lo : lo + step], xs, zs, K.d)
-        if t.any():
-            return False
-    return True
+    """True iff chi(a, b) = 1 for every pair of generators, hence of elements."""
+    return not _chi_rows(K._gens, K._gens, K.d).any()
 
 
 @dataclass(frozen=True)
@@ -197,122 +267,47 @@ def character_matrix(d: int, n: int, max_side: int = 10**4) -> CharacterMatrix:
             f"character matrix side {side} exceeds the bound {max_side}"
         )
     classes = all_classes(d, n)
-    xs = np.array([c.x for c in classes], dtype=np.int64)
-    zs = np.array([c.z for c in classes], dtype=np.int64)
-    return CharacterMatrix(d, n, tuple(classes), _chi_table(xs, zs, xs, zs, d))
+    rows = _class_rows(classes, n)
+    return CharacterMatrix(d, n, tuple(classes), _chi_rows(rows, rows, d))
 
 
-def _nullspace_mod_prime(rows: np.ndarray, d: int) -> list[np.ndarray]:
-    """Basis of the nullspace of ``rows`` over Z_d, d prime."""
-    a = rows.copy() % d
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = None
-        for i in range(r, nrows):
-            if a[i, c] % d:
-                hit = i
-                break
-        if hit is None:
-            continue
-        a[[r, hit]] = a[[hit, r]]
-        inv = pow(int(a[r, c]), d - 2, d)
-        a[r] = (a[r] * inv) % d
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % d
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-a[i, f]) % d
-        basis.append(v % d)
-    return basis
+def annihilator(K: PauliSubgroup, max_size: int = _DEFAULT_MAX_SIZE) -> PauliSubgroup:
+    """All classes commuting with every element of K, for any d >= 2.
 
-
-def annihilator(
-    K: PauliSubgroup, max_size: int = _DEFAULT_MAX_SIZE
-) -> PauliSubgroup:
-    """All classes commuting with every element of K.
-
-    A direct scan over all d^{2n} classes is used at desk scale; beyond the
-    scan limit the symplectic constraints are solved over Z_d, which requires
-    d prime.
+    The classes v with g.x . v.z - g.z . v.x = 0 (mod d) for every generator g
+    of K are the kernel of one integer matrix over Z_d; the kernel solver
+    returns their Howell form directly, and |K| |Ann K| = d^{2n}.  Raises
+    PreconditionError when Ann K has more than ``max_size`` elements.
     """
-    d, n = K.d, K.n
-    gens = generating_set(K)
-    total = d ** (2 * n)
-    if total <= _SCAN_LIMIT:
-        classes = all_classes(d, n)
-        xs = np.array([c.x for c in classes], dtype=np.int64)
-        zs = np.array([c.z for c in classes], dtype=np.int64)
-        if gens:
-            gx = np.array([g.x for g in gens], dtype=np.int64)
-            gz = np.array([g.z for g in gens], dtype=np.int64)
-            mask = ~_chi_table(xs, zs, gx, gz, d).any(axis=1)
-        else:
-            mask = np.ones(len(classes), dtype=bool)
-        elems = tuple(c for c, keep in zip(classes, mask) if keep)
-        return PauliSubgroup(d, n, elems)
-
-    if not _is_prime(d):
-        raise PreconditionError(
-            f"annihilator above the scan limit needs prime d, got d={d}"
-        )
-    # Constraint for unknown g = (gx | gz):  a.x . gz - a.z . gx = 0 for all a.
-    rows = np.array(
-        [list(-np.array(g.z) % d) + list(g.x) for g in gens], dtype=np.int64
-    ).reshape(len(gens), 2 * n)
-    basis = _nullspace_mod_prime(rows, d)
-    count = d ** len(basis)
-    if count > max_size:
-        raise PreconditionError(f"annihilator has {count} elements, above {max_size}")
-    elems = []
-    for coeffs in itertools.product(range(d), repeat=len(basis)):
-        v = np.zeros(2 * n, dtype=np.int64)
-        for c, b in zip(coeffs, basis):
-            v = (v + c * b) % d
-        elems.append(PauliClass(d, n, tuple(v[:n]), tuple(v[n:])))
-    return PauliSubgroup(d, n, tuple(elems))
-
-
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    return all(d % p for p in range(2, int(d**0.5) + 1))
+    n, gens = K.n, K._gens
+    constraints = np.hstack([-gens[:, n:], gens[:, :n]])
+    return PauliSubgroup._from_howell(K.d, n, *_kernel(constraints, K.d), max_size)
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
-    """Deterministically grow an Abelian subgroup to one of size d^n.
+    """Deterministically grow an Abelian subgroup to one of size d^n, any d >= 2.
 
-    Each round adjoins the canonically smallest class outside K that commutes
-    with all of K; the result is Abelian of size exactly d^n and contains K.
+    Each round adjoins the canonically smallest class of Ann K \\ K, K being the
+    group grown so far; the result is Abelian of size exactly d^n and contains
+    the input.  Ann K is enumerated once, for the input; after each round only
+    the classes commuting with the adjoined g are kept, since Ann <K, g> is
+    the intersection of Ann K and Ann g.
     """
     if not is_abelian(K):
         raise PreconditionError("extend_to_maximal requires an Abelian subgroup")
-    target = K.d**K.n
-    while len(K) < target:
-        ann = annihilator(K)
-        g = next((c for c in ann if c not in K), None)
-        if g is None:
-            raise NumericalAmbiguityError(
-                "no commuting class available before reaching maximal size"
-            )
-        K = close(list(K.elements) + [g])
+    d, n = K.d, K.n
+    cand = annihilator(K).rows
+    while len(K) < d**n:
+        # cand holds Ann K in canonical order; its first |K| + 1 rows include
+        # a class outside K, since at most |K| of them lie in K
+        head = cand[: len(K) + 1]
+        g = head[_residue(head, K).any(axis=1)][0].astype(np.int64)
+        K = PauliSubgroup._from_howell(d, n, *_howell(np.vstack([K._gens, g]), d))
+        cand = cand[_chi_rows(cand, g[None, :], d)[:, 0] == 0]
     return K
 
 
 def diagonal_subgroup(d: int, n: int) -> PauliSubgroup:
     """The maximal Abelian subgroup of all x = 0 classes (diagonal operators)."""
-    gens = []
-    for k in range(n):
-        z = tuple(1 if j == k else 0 for j in range(n))
-        gens.append(PauliClass(d, n, (0,) * n, z))
-    return close(gens, d=d, n=n)
+    zs = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
+    return close([PauliClass(d, n, (0,) * n, z) for z in zs], d=d, n=n)

@@ -177,6 +177,13 @@ class PauliClass:
     def identity(cls, d: int, n: int) -> "PauliClass":
         return cls(d, n, (0,) * n, (0,) * n)
 
+    @classmethod
+    def _unchecked(cls, d: int, n: int, x: tuple, z: tuple) -> "PauliClass":
+        """A class from int tuples already reduced mod d, without validation."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(d=d, n=n, x=x, z=z)
+        return obj
+
     @property
     def is_identity(self) -> bool:
         return not any(self.x) and not any(self.z)

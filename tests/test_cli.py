@@ -59,6 +59,21 @@ def test_group_extend_writes_subgroup_file(capsys, tmp_path):
     assert len(K) == 8 and is_abelian(K)
 
 
+def test_group_extend_composite_d4(capsys):
+    # composite d with 4^8 classes: a maximal Abelian extension exists
+    code, out, _ = run(capsys, "group", "extend", "--d", "4", "--gens", "Z1:I:I:I")
+    assert code == 0
+    res = payload(out)
+    assert res["size"] == 256 == len(set(res["elements"]))
+    assert "Z1:I:I:I" in res["elements"]
+    rows = np.array([
+        [*c.x, *c.z]
+        for c in (parse_pauli(s, d=4).pauli_class() for s in res["elements"])
+    ])
+    x, z = rows[:, :4], rows[:, 4:]
+    assert not ((x @ z.T - z @ x.T) % 4).any()
+
+
 def test_group_charmatrix_requires_n(capsys):
     code, _, _ = run(capsys, "group", "charmatrix", "--d", "2")
     assert code == 3

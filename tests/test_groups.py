@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulipriv import (
     PauliClass,
@@ -16,7 +18,7 @@ from paulipriv import (
     is_abelian,
     parse_pauli,
 )
-from paulipriv.groups import _nullspace_mod_prime, generating_set
+from paulipriv.groups import _kernel, generating_set
 from helpers import brute_closure, random_abelian_subgroup, random_subgroup
 
 # Single-site commutation table in canonical class order I, X, Z, Y,
@@ -175,24 +177,24 @@ def test_annihilator_single_z_scan_oracle():
     assert {c.to_string() for c in ann} == expected == {"I", "Z"}
 
 
-def test_nullspace_mod_prime():
+def test_kernel_mod_d():
     rng = np.random.default_rng(4)
-    for d in (2, 3, 5):
+    for d in (2, 3, 4, 5, 6):
         rows = rng.integers(0, d, (4, 6))
-        basis = _nullspace_mod_prime(rows, d)
+        basis, _ = _kernel(rows, d)
         for v in basis:
             assert not ((rows @ v) % d).any()
-        # dimension check against brute force over all vectors
+        # solution count against brute force over all vectors
         count = sum(
             1
             for idx in range(d**6)
             if not ((rows @ np.array([(idx // d**k) % d for k in range(6)])) % d).any()
         )
-        assert d ** len(basis) == count
+        assert len(brute_closure(basis.tolist(), d, 3)) == count
 
 
 def test_annihilator_linear_path_matches_scan():
-    # d=3, n=4 sits above the scan limit, forcing the linear-system route
+    # the kernel solver against a direct scan over all 3^8 classes of P_4
     rng = np.random.default_rng(9)
     K = random_abelian_subgroup(rng, 3, 4, steps=2)
     ann = annihilator(K)
@@ -294,3 +296,105 @@ def test_subgroup_invariants():
             assert c.inverse() in K
     with pytest.raises(PreconditionError):
         PauliSubgroup(2, 1, (cls("X"),))  # identity missing
+
+
+def _scan_annihilator(gens, d, n):
+    """Direct scan of Z_d^{2n} for the rows commuting with every generator row."""
+    rows = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+    g = np.array(gens).reshape(-1, 2 * n)
+    chi = rows[:, :n] @ g[:, n:].T - rows[:, n:] @ g[:, :n].T
+    return {tuple(r) for r in rows[~(chi % d).any(axis=1)].tolist()}
+
+
+def test_composite_d6_n3_annihilator_and_extension():
+    # composite d with 6^6 classes, checked against a direct scan
+    gens = [PauliClass(6, 3, (0, 0, 0), (2, 0, 0)), PauliClass(6, 3, (3, 0, 0), (0, 0, 0))]
+    K = close(gens)
+    assert len(K) == 6
+    ann = annihilator(K)
+    assert len(K) * len(ann) == 6**6
+    expected = _scan_annihilator([g.x + g.z for g in gens], 6, 3)
+    assert {c.x + c.z for c in ann} == expected
+    M = extend_to_maximal(K)
+    assert len(M) == 6**3 and is_abelian(M) and K.issubset(M)
+    assert all(g in M for g in gens)
+
+
+# ---------------------------------------------------------------------------
+# Differential properties over prime and composite d
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+# (d, n) with d^(2n) <= 1296, so that brute-force oracles stay cheap
+SPACES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2),
+          (6, 1), (6, 2)]
+
+
+@st.composite
+def subgroup_case(draw):
+    """(d, n, generator rows) for d in 2..6."""
+    d, n = draw(st.sampled_from(SPACES))
+    row = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    return d, n, draw(st.lists(row, max_size=3))
+
+
+@st.composite
+def abelian_case(draw):
+    """Commuting generator rows: scaled Z's moved by random symplectic transvections.
+
+    Each transvection w -> w + lam <w, v> v preserves the commutation form
+    over any Z_d, so the rows keep commuting.
+    """
+    d, n = draw(st.sampled_from(SPACES))
+    scales = draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=n))
+    rows = np.zeros((len(scales), 2 * n), dtype=np.int64)
+    for i, s in enumerate(scales):
+        rows[i, n + i] = s
+    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    for v, lam in draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=4)):
+        v = np.array(v)
+        form = rows[:, :n] @ v[n:] - rows[:, n:] @ v[:n]
+        rows = (rows + lam * form[:, None] * v[None, :]) % d
+    return d, n, rows.tolist()
+
+
+def _subgroup(d, n, rows):
+    return close([PauliClass(d, n, r[:n], r[n:]) for r in rows], d=d, n=n)
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_case())
+def test_property_close_matches_brute_closure(case):
+    d, n, rows = case
+    K = _subgroup(d, n, rows)
+    expected = sorted(brute_closure(rows, d, n),
+                      key=lambda r: PauliClass(d, n, r[:n], r[n:]).key())
+    assert [c.x + c.z for c in K] == expected
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_case())
+def test_property_annihilator_counting_and_duality(case):
+    d, n, rows = case
+    K = _subgroup(d, n, rows)
+    ann = annihilator(K)
+    assert len(K) * len(ann) == d ** (2 * n)
+    assert {c.x + c.z for c in ann} == _scan_annihilator(rows, d, n)
+    assert annihilator(ann) == K
+    assert {c.x + c.z for c in annihilator(ann)} == {c.x + c.z for c in K}
+
+
+@PROPERTY_SETTINGS
+@given(abelian_case())
+def test_property_extension_is_maximal_abelian(case):
+    d, n, rows = case
+    K = _subgroup(d, n, rows)
+    assert is_abelian(K)
+    M = extend_to_maximal(K)
+    assert len(M) == d**n
+    x, z = M.xz_arrays()
+    assert not ((x @ z.T - z @ x.T) % d).any()
+    members = {c.x + c.z for c in M}
+    assert all(c.x + c.z in members for c in K)
