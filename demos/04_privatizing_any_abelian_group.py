@@ -1,9 +1,11 @@
 """Every Abelian Pauli subgroup channel hides floor(k/2) qubits.
 
 For a maximal Abelian subgroup G on n qubits (size 2^n), the equally
-weighted group channel privatizes floor(n/2) qubits: diagonalize G, pull the
-encoded qubit algebra back through the diagonalizing unitary, certify.  For
-a non-maximal subgroup of size 2^k the same works with floor(k/2) qubits.
+weighted group channel privatizes floor(n/2) qubits: pair each generator g_j
+of G with a symplectic partner h_j, form the encoded qubits h_{2i} and
+h_{2i-1} h_{2i} g_{2i-1} g_{2i}, take the span of the Pauli subgroup they
+generate, and certify it densely.  For a non-maximal subgroup of size 2^k
+the same works with floor(k/2) qubits.
 """
 
 import numpy as np

@@ -540,8 +540,8 @@ def left_regular_trace(A: OperatorAlgebra, a, *, rtol: float = _RTOL_RANK) -> co
     """Trace of left multiplication by ``a`` acting on all of M_N.
 
     ``a`` must lie in the span of A (projection residual at most ``rtol``
-    relative); the operator L_a(x) = a x is materialized on the N^2
-    dimensional space and its trace returned.
+    relative).  L_a(x) = a x is a (x) I on the N^2 dimensional space, so its
+    trace is N tr(a).
     """
     a = _as_square(a)
     if a.shape[0] != A.N:
@@ -549,8 +549,7 @@ def left_regular_trace(A: OperatorAlgebra, a, *, rtol: float = _RTOL_RANK) -> co
     resid = a - A.project(a)
     if np.linalg.norm(resid) > rtol * max(1.0, np.linalg.norm(a)):
         raise PreconditionError("operator lies outside the algebra span")
-    left_mul = np.kron(a, np.eye(A.N, dtype=complex))
-    return complex(np.trace(left_mul))
+    return complex(A.N * np.trace(a))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ extension, character matrices), ``channel`` (group channels, conditional
 expectations, state evolution, Choi equality), ``privacy`` (quasiorthogonality
 and privatization certificates) and ``demo`` (the two worked constructions).
 
-Exit codes: 0 success, 1 a verified-false verdict, 2 input or parse error,
-3 precondition violation.  JSON output is deterministic given inputs and
---seed; the timestamp field can be suppressed with --no-timestamp.
+Exit codes: 0 success, 1 a verified-false verdict, 2 input, parse or file
+error, 3 precondition violation (including a failed dense decomposition).
+JSON output is deterministic given inputs and --seed; the timestamp field can
+be suppressed with --no-timestamp.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .algebra import (
     diagonal_algebra,
     full_matrix_algebra,
     scalar_algebra,
-    span_closure,
 )
 from .constructions import (
     channel_from_subgroup,
@@ -90,7 +90,7 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
     elems = [parse_pauli(t.strip(), d=d) for t in text.split(",") if t.strip()]
     if not elems:
         raise FormatError(f"empty algebra description {text!r}")
-    return span_closure([e.to_dense() for e in elems])
+    return subgroup_algebra(close(elems))
 
 
 def _resolve_tol(args, default: float = _DEFAULT_TOL) -> float:
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.command_path = f"{args.topic} {args.action}"
     try:
+        if args.d < 2 or (args.n is not None and args.n < 1) or args.seed < 0:
+            raise PreconditionError("need --d >= 2, --n >= 1 and --seed >= 0, got "
+                                    f"d={args.d}, n={args.n}, seed={args.seed}")
         if args.topic == "group":
             return _cmd_group(args)
         if args.topic == "channel":
@@ -395,10 +398,10 @@ def main(argv=None) -> int:
         if args.topic == "demo":
             return _cmd_demo(args)
         raise PreconditionError(f"unknown topic {args.topic!r}")
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, NumericalAmbiguityError) as exc:
+    except (PreconditionError, NumericalAmbiguityError, np.linalg.LinAlgError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
 

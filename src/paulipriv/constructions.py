@@ -1,19 +1,14 @@
 """Explicit private-subsystem constructions for Abelian Pauli subgroups.
 
-The two pipelines turn an Abelian subgroup K of the n-qubit class group into
-a channel (equally weighted class representatives as Kraus operators) plus a
-certified private algebra:
-
-* maximal K (size 2^n): simultaneously diagonalize K, then pull the encoded
-  qubit algebra back through the diagonalizing unitary;
-* general K (size 2^k): the diagonalization sorts K into a diagonal factor
-  on 2^k dimensions times an identity factor, so the k-site construction is
-  tensored with the identity and pulled back the same way.
-
-The encoded qubit algebra on n sites is generated by one X-type and one
-Y-type element per encoded qubit (X at site 2i; Y at sites 2i-1 and 2i); no
-non-identity product of these generators is diagonal, which is exactly why
-the pulled-back algebra is privatized.
+The pipelines turn an Abelian subgroup K = <g_1, ..., g_k> of the n-qubit
+class group into a channel (equally weighted class representatives as Kraus
+operators) plus a certified private algebra.  Symplectic partners h_j of the
+g_j play the role of X_j in a Clifford frame where g_j is Z_j, so the encoded
+qubits of that frame (X at site 2i, Y at sites 2i-1 and 2i) are the classes
+h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i}.  The private algebra is the span
+of the subgroup H they generate: every non-identity class of H anticommutes
+with some g_j, so the group channel sends it to zero, which is exactly why
+span H is privatized.  Maximal K (k = n) and general K (k < n) are alike.
 """
 
 from __future__ import annotations
@@ -28,13 +23,10 @@ from .algebra import (
     OperatorAlgebra,
     apply_channel,
     diagonal_algebra,
-    scalar_algebra,
-    simultaneous_diagonalize,
-    span_closure,
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, close, is_abelian
+from .groups import PauliSubgroup, close, generating_set, is_abelian, symplectic_partners
 from .pauli import PauliClass, PauliElement, omega_power
 from .privacy import (
     PrivacyCertificate,
@@ -61,15 +53,13 @@ __all__ = [
 class EncodedQubitAlgebra:
     """Generator pairs and realized algebra for floor(n/2) encoded qubits.
 
-    ``pairs[i]`` holds the X-type and Y-type generators of encoded qubit
-    i+1; ``conjugation``, when set, is the unitary that was applied to move
-    the algebra out of its defining frame.
+    ``pairs[i]`` holds the X-type and Y-type generators of encoded qubit i+1;
+    ``algebra`` is the span of the subgroup of classes they generate.
     """
 
     n: int
     pairs: tuple[tuple[PauliElement, PauliElement], ...]
     algebra: OperatorAlgebra
-    conjugation: np.ndarray | None = None
 
 
 def encoded_qubit_generators(n: int) -> EncodedQubitAlgebra:
@@ -81,19 +71,13 @@ def encoded_qubit_generators(n: int) -> EncodedQubitAlgebra:
     if n < 2:
         raise PreconditionError(f"encoded qubits need n >= 2 sites, got n={n}")
     pairs = []
-    for i in range(1, n // 2 + 1):
-        x = [0] * n
-        z = [0] * n
-        x[2 * i - 1] = 1
-        xhat = PauliElement(2, n, 0, tuple(x), tuple(z))
-        x = [0] * n
-        z = [0] * n
-        x[2 * i - 2] = x[2 * i - 1] = 1
-        z[2 * i - 2] = z[2 * i - 1] = 1
-        yhat = PauliElement(2, n, 2, tuple(x), tuple(z))  # Y(x)Y carries phase i*i
-        pairs.append((xhat, yhat))
-    gens = [p.to_dense() for pair in pairs for p in pair]
-    return EncodedQubitAlgebra(n=n, pairs=tuple(pairs), algebra=span_closure(gens))
+    for i in range(n // 2):
+        x = tuple(int(j == 2 * i + 1) for j in range(n))
+        yy = tuple(int(j // 2 == i) for j in range(n))
+        # Y(x)Y = (i XZ)(x)(i XZ) carries phase i*i
+        pairs.append((PauliElement(2, n, 0, x, (0,) * n), PauliElement(2, n, 2, yy, yy)))
+    algebra = subgroup_algebra(close([p for pair in pairs for p in pair]))
+    return EncodedQubitAlgebra(n=n, pairs=tuple(pairs), algebra=algebra)
 
 
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
@@ -126,30 +110,16 @@ def max_private_qubits(n: int) -> int:
 
 
 def _private_pipeline(K: PauliSubgroup) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    n = K.n
-    k = int(round(math.log2(len(K))))
-    if 2**k != len(K):
-        raise PreconditionError(f"subgroup size {len(K)} is not a power of two")
-    dense = [c.to_dense() for c in K]
-    u = simultaneous_diagonalize(dense)
-    # Canonical column sorting groups equal joint eigenvalues contiguously, so
-    # the conjugated subgroup spans (diagonals on 2^k) (x) I_{2^(n-k)}.
-    if k >= 2:
-        inner = encoded_qubit_generators(k).algebra
-    else:
-        inner = scalar_algebra(2**k)
-    mult = 2 ** (n - k)
-    eye_m = np.eye(mult, dtype=complex)
-    lifted = np.array([np.kron(b, eye_m) / math.sqrt(mult) for b in inner.basis])
-    ud = u.conj().T
-    basis = np.array([ud @ b @ u for b in lifted])
-    algebra = OperatorAlgebra(basis)
-    phi = channel_from_subgroup(K)
+    g, h = generating_set(K), symplectic_partners(K)
+    k = len(g)
+    encoded = [h[j + 1] for j in range(0, k - 1, 2)]
+    encoded += [h[j] * h[j + 1] * g[j] * g[j + 1] for j in range(0, k - 1, 2)]
+    algebra = subgroup_algebra(close(encoded, d=2, n=K.n))
     cert = check_privatized_algebra(
-        phi,
+        channel_from_subgroup(K),
         algebra,
-        channel_description=f"group channel, {len(K)} Kraus operators on {2**n} dims",
-        subject_description=f"pulled-back encoded algebra, {k // 2} qubits",
+        channel_description=f"group channel, {len(K)} Kraus operators on {2**K.n} dims",
+        subject_description=f"encoded Pauli subgroup algebra, {k // 2} qubits",
     )
     return algebra, cert
 
@@ -254,9 +224,8 @@ def two_qutrit_demo(perturb: bool = False) -> TwoQutritReport:
         DemoCheck("kraus_mutually_commuting", commuting, 0.0 if commuting else 1.0)
     )
 
-    g1 = _qutrit_class(2, 0, 1, 0).to_dense()  # X^2 (x) X
-    g2 = _qutrit_class(1, 2, 0, 1).to_dense()  # X Z^2 (x) Z
-    algebra = span_closure([g1, g2])
+    # generated by X^2 (x) X and X Z^2 (x) Z
+    algebra = subgroup_algebra(close([_qutrit_class(2, 0, 1, 0), _qutrit_class(1, 2, 0, 1)]))
     cert = check_privatized_algebra(phi, algebra)
     rho0_dev = float(np.abs(cert.rho0 - np.eye(9) / 9).max())
     priv_dev = max(cert.max_deviation, rho0_dev)

@@ -31,6 +31,7 @@ __all__ = [
     "extend_to_maximal",
     "generating_set",
     "is_abelian",
+    "symplectic_partners",
 ]
 
 _DEFAULT_MAX_SIZE = 10**6
@@ -132,8 +133,8 @@ class PauliSubgroup:
     def _from_howell(cls, d, n, gens, pivots, max_size=_DEFAULT_MAX_SIZE):
         K = cls.__new__(cls)
         K._set(d, n, gens, pivots)
-        if len(K) > max_size:
-            raise PreconditionError(f"{len(K)} elements, above the bound {max_size}")
+        if K._size > max_size:
+            raise PreconditionError(f"{K._size} elements, above the bound {max_size}")
         return K
 
     @cached_property
@@ -279,9 +280,33 @@ def annihilator(K: PauliSubgroup, max_size: int = _DEFAULT_MAX_SIZE) -> PauliSub
     returns their Howell form directly, and |K| |Ann K| = d^{2n}.  Raises
     PreconditionError when Ann K has more than ``max_size`` elements.
     """
-    n, gens = K.n, K._gens
-    constraints = np.hstack([-gens[:, n:], gens[:, :n]])
-    return PauliSubgroup._from_howell(K.d, n, *_kernel(constraints, K.d), max_size)
+    return PauliSubgroup._from_howell(K.d, K.n, *_commuting(K._gens, K.d), max_size)
+
+
+def _commuting(rows: np.ndarray, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Howell form of the classes v with chi(r, v) = 1 for every (x | z) row r."""
+    n = rows.shape[1] // 2
+    return _kernel(np.hstack([-rows[:, n:], rows[:, :n]]), d)
+
+
+def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
+    """Commuting classes h_j with chi(g_i, h_j) = omega^delta_ij, g = generating_set(K).
+
+    Symplectic Gram-Schmidt on Howell rows, for Abelian K with free generators
+    (every Abelian K for prime d): h_j is a kernel row of the constraints
+    {g_i : i != j} and {h_l : l < j} with a unit exponent against g_j, rescaled
+    to 1.  No element is enumerated, so any n works.
+    """
+    d, n, g = K.d, K.n, K._gens
+    h = np.zeros((0, 2 * n), dtype=np.int64)
+    for j in range(len(g)):
+        cand, _ = _commuting(np.vstack([np.delete(g, j, axis=0), h]), d)
+        e = _chi_rows(g[j : j + 1], cand, d)[0].tolist()
+        units = [i for i, v in enumerate(e) if math.gcd(v, d) == 1]
+        if not units:
+            raise PreconditionError(f"generator {j + 1} of K has no symplectic partner")
+        h = np.vstack([h, cand[units[0]] * pow(e[units[0]], -1, d) % d])
+    return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h.tolist()]
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:

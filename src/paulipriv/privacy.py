@@ -3,9 +3,9 @@
 A channel privatizes an algebra B when every unit-trace element of B maps to
 one fixed state rho0; by linearity it is enough to check the basis, which is
 what the certificate records.  Quasiorthogonality of two algebras is the
-trace condition tr(ab)/N = tr(a) tr(b)/N^2 on basis pairs, and the module
-also evaluates the three equivalent reformulations (centered traces and the
-two conditional-expectation forms) as an independent cross-check.
+trace condition tr(ab)/N = tr(a) tr(b)/N^2 on basis pairs.  The module also
+reports the centered-trace form (N times that deviation) and evaluates the
+two conditional-expectation forms as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -115,11 +115,10 @@ def quasiorth_condition_suite(
     n = A.N
     eye = np.eye(n, dtype=complex)
 
-    prod = np.einsum("iab,jba->ij", A.basis, B.basis)
     tra = np.einsum("iaa->i", A.basis)
     trb = np.einsum("jaa->j", B.basis)
-    dev1 = float(np.abs(prod - np.outer(tra, trb) / n).max())
-    dev2 = float(np.abs(prod / n - np.outer(tra, trb) / n**2).max())
+    dev2 = _pair_deviation(A, B)
+    dev1 = n * dev2  # tr(ab) - tr(a)tr(b)/N, the centered product trace
 
     kwargs = {} if seed is None else {"seed": seed}
     phi_a = conditional_expectation(A, **kwargs)

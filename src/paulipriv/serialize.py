@@ -54,7 +54,7 @@ def operator_from_obj(obj) -> np.ndarray:
         n = int(obj["n"])
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad operator object: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise FormatError(
@@ -75,7 +75,10 @@ def channel_from_obj(obj) -> Channel:
         raise FormatError(f"bad channel object: {exc}") from exc
     if not isinstance(ops, list) or not ops:
         raise FormatError("channel object needs a non-empty kraus list")
-    return Channel(np.array([operator_from_obj(o) for o in ops]))
+    mats = [operator_from_obj(o) for o in ops]
+    if len({m.shape for m in mats}) > 1:
+        raise FormatError("channel Kraus operators differ in dimension")
+    return Channel(np.array(mats))
 
 
 def algebra_to_obj(alg: OperatorAlgebra) -> dict:
@@ -118,7 +121,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

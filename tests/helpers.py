@@ -79,6 +79,21 @@ def random_maximal_abelian(rng, d: int, n: int):
     return random_abelian_subgroup(rng, d, n, steps=n)
 
 
+def transvect(rows, moves, d: int) -> np.ndarray:
+    """(x | z) rows moved by symplectic transvections w -> w + lam <w, v> v.
+
+    Each (v, lam) in ``moves`` preserves the commutation form over any Z_d, so
+    commuting rows keep commuting and independent rows stay independent.
+    """
+    rows = np.array(rows, dtype=np.int64)
+    n = rows.shape[1] // 2
+    for v, lam in moves:
+        v = np.array(v, dtype=np.int64)
+        form = rows[:, :n] @ v[n:] - rows[:, n:] @ v[:n]
+        rows = (rows + lam * form[:, None] * v[None, :]) % d
+    return rows
+
+
 def random_density(rng, n: int) -> np.ndarray:
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = m @ m.conj().T

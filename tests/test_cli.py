@@ -1,9 +1,13 @@
 """End-to-end command-line interface tests via main()."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulipriv import parse_pauli
 from paulipriv.cli import main
@@ -265,3 +269,170 @@ def test_nonabelian_group_channel_exit_3(capsys):
     code, _, err = run(capsys, "channel", "from-group", "--gens", "XI,ZI")
     assert code == 3
     assert "Abelian" in err
+
+
+def test_out_naming_a_directory_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "group", "close", "--gens", "ZI", "--out", str(tmp_path))
+    assert code == 2
+    assert "input error" in err
+
+
+def test_undecodable_json_exit_2(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "channel", "condexp", "--algebra", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "condexp", "--algebra", "full", "--n", "1", "--d", "-2"],
+    ["privacy", "certify", "--channel", "identity", "--n", "-1", "--algebra", "scalars"],
+    ["group", "close", "--gens", "", "--n", "0"],
+    ["demo", "phaseflip", "--d", "1"],
+    ["channel", "condexp", "--algebra", "IX,ZI", "--seed", "-1"],
+])
+def test_bad_d_n_or_seed_exit_3(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "need --d >= 2, --n >= 1 and --seed >= 0" in err
+
+
+def test_linalg_error_exit_3(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "alg.json"
+    write_json(path, {"basis": [operator_to_obj(np.diag([1.0, -1.0]))]})
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code, _, err = run(capsys, "channel", "condexp", "--algebra", str(path))
+    assert code == 3
+    assert "SVD did not converge" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any argv over the four topics exits 0-3 without raising
+# ---------------------------------------------------------------------------
+
+def _op(n, value=1.0):
+    return operator_to_obj(np.eye(n) * value)
+
+
+FUZZ_JSON = {
+    "op.json": _op(2, 0.5),
+    "chan.json": {"kraus": [_op(2)]},
+    "alg.json": {"basis": [_op(2)]},
+    "list.json": [1, 2],
+    "ragged.json": {"n": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+    "inf_n.json": {"n": float("inf"), "re": [[1]], "im": [[0]]},
+    "mixed_kraus.json": {"kraus": [_op(2), _op(1)]},
+    "mixed_basis.json": {"basis": [_op(2), _op(1)]},
+    "empty_kraus.json": {"kraus": []},
+    "nested.json": {"kraus": {"n": 2}, "basis": "I"},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FUZZ_JSON.items():
+        (root / name).write_text(json.dumps(obj))
+    (root / "garbage.json").write_text("{not json")
+    (root / "binary.json").write_bytes(b"\xff\xfe{")
+    (root / "subdir.json").mkdir()
+    return root
+
+
+BAD_TOKENS = ["Q%", "X9", "w.X", "X1Z", ":", "XZ:", "+-X", "I:Z", "w1.X1:I", " "]
+
+
+@st.composite
+def pauli_list(draw, d):
+    # site counts with d^n <= 16, so that dense algebras stay small
+    sites = {2: 4, 3: 2, 4: 2}[d]
+    n = draw(st.integers(1, sites))
+    if d == 2:
+        good = st.text("IXYZ", min_size=n, max_size=n)
+    else:
+        site = st.sampled_from(["I", "X1", "Z1", "X1Z2", "X2Z1", "Z3"])
+        good = st.lists(site, min_size=n, max_size=n).map(":".join)
+    tokens = draw(st.lists(st.one_of(good, good, good, st.sampled_from(BAD_TOKENS)),
+                           max_size=4))
+    return ",".join(tokens)
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    # d and n in -2..4, the seed 2016 or negative; at most one of the three invalid
+    d = draw(st.integers(2, 4))
+    n = draw(st.none() | st.integers(1, 4))
+    if n is not None and d**n > 16:
+        n = 1  # keep dense algebras small
+    seed = 2016
+    bad = draw(st.sampled_from([None, None, None, "d", "n", "seed"]))
+    if bad == "d":
+        d = draw(st.integers(-2, 1))
+    elif bad == "n":
+        n = draw(st.integers(-2, 0))
+    elif bad == "seed":
+        seed = draw(st.integers(-2, -1))
+    files = [str(root / name)
+             for name in [*FUZZ_JSON, "garbage.json", "binary.json", "subdir.json"]]
+    files.append(str(root / "missing.json"))
+    some_file = st.sampled_from(files)
+    algebra = st.sampled_from(["scalars", "full", "delta0", "delta2", "delta4"])
+    algebra = algebra | some_file | pauli_list(max(d, 2))
+    gens = pauli_list(max(d, 2))
+    topic = draw(st.sampled_from(["group", "channel", "privacy", "demo"]))
+    if topic == "group":
+        action = draw(st.sampled_from(["close", "abelian", "annihilator", "extend",
+                                       "charmatrix"]))
+        argv = ["group", action]
+        if action != "charmatrix":
+            argv += ["--gens", draw(gens)]
+    elif topic == "channel":
+        action = draw(st.sampled_from(["from-group", "condexp", "apply", "choi-equal"]))
+        argv = ["channel", action]
+        argv += {
+            "from-group": lambda: ["--gens", draw(gens)],
+            "condexp": lambda: ["--algebra", draw(algebra)],
+            "apply": lambda: ["--in", draw(some_file), "--state", draw(some_file)],
+            "choi-equal": lambda: ["--a", draw(some_file), "--b", draw(some_file)],
+        }[action]()
+    elif topic == "privacy":
+        if draw(st.booleans()):
+            argv = ["privacy", "quasiorth", "--a", draw(algebra), "--b", draw(algebra)]
+        else:
+            argv = ["privacy", "certify"]
+            source = draw(st.sampled_from(["group", "construct", "identity", "in", "none"]))
+            argv += {
+                "group": lambda: ["--group", draw(gens)],
+                "construct": lambda: ["--group", draw(gens), "--construct"],
+                "identity": lambda: ["--channel", "identity"],
+                "in": lambda: ["--in", draw(some_file)],
+                "none": lambda: [],
+            }[source]()
+            if source != "construct" and draw(st.booleans()):
+                argv += ["--algebra", draw(algebra)]
+    else:
+        argv = ["demo", draw(st.sampled_from(["phaseflip", "qutrit"]))]
+    argv += ["--d", str(d), "--seed", str(seed)]
+    if n is not None:
+        argv += ["--n", str(n)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from([str(root), str(root / "no" / "out.json")]))]
+    return argv
+
+
+def test_fuzz_main_exits_0_to_3_without_raising(fuzz_dir):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fuzz_argv(fuzz_dir))
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + BASE)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    check()

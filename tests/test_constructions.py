@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulipriv import (
+    PauliClass,
     PreconditionError,
     channel_from_subgroup,
     check_privatized_algebra,
@@ -27,7 +30,8 @@ from paulipriv import (
     diagonal_algebra,
 )
 from paulipriv import Channel
-from helpers import random_abelian_subgroup, random_maximal_abelian
+from paulipriv.cli import _algebra_from_arg
+from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
 
 
 def dense(s, d=2):
@@ -60,6 +64,30 @@ def test_encoded_generators_n4_second_pair():
     xhat, yhat = enc.pairs[1]
     assert xhat.to_string() == "IIIX"
     assert yhat.to_string() == "IIYY"
+
+
+def same_span(a, b):
+    return a.dim == b.dim and all(b.contains(x) for x in a.basis)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_encoded_algebra_matches_dense_span_closure(n):
+    enc = encoded_qubit_generators(n)
+    dense_alg = span_closure([p.to_dense() for pair in enc.pairs for p in pair])
+    assert enc.algebra.dim == 4 ** (n // 2)
+    assert same_span(enc.algebra, dense_alg)
+
+
+@pytest.mark.parametrize("d, text", [
+    (2, "IX,YY"),
+    (2, "XI,ZI,IZ"),
+    (3, "X2:X1,X1Z2:Z1"),  # non-Abelian: the two-qutrit private algebra
+    (3, "X1:I,Z1:I,I:X1Z2"),
+])
+def test_cli_pauli_list_algebra_matches_dense_span_closure(d, text):
+    alg = _algebra_from_arg(text, d, None)
+    dense_alg = span_closure([dense(t, d) for t in text.split(",")])
+    assert same_span(alg, dense_alg)
 
 
 def test_encoded_generators_rejects_small_n():
@@ -233,3 +261,29 @@ def test_abelian_channels_always_commute():
     for _ in range(10):
         K = random_abelian_subgroup(rng, 2, 3)
         assert kraus_mutually_commuting(channel_from_subgroup(K))
+
+
+@st.composite
+def qubit_abelian_case(draw):
+    """(n, commuting independent qubit rows) for n <= 5: transvected Z's."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    rows = np.zeros((k, 2 * n), dtype=np.int64)
+    rows[np.arange(k), n + np.arange(k)] = 1
+    vec = st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)
+    moves = draw(st.lists(st.tuples(vec, st.just(1)), max_size=6))
+    return n, transvect(rows, moves, 2).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(qubit_abelian_case())
+def test_property_pipeline_against_dense_oracle(case):
+    n, rows = case
+    K = close([PauliClass(2, n, r[:n], r[n:]) for r in rows], d=2, n=n)
+    k = len(rows)
+    alg, cert = private_algebra_for_abelian(K)
+    assert alg.dim == 4 ** (k // 2)
+    assert same_span(alg, span_closure(alg.basis))  # closed *-algebra
+    assert cert.verdict
+    assert np.abs(cert.rho0 - np.eye(2**n) / 2**n).max() < 1e-12
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)

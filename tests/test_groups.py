@@ -18,8 +18,14 @@ from paulipriv import (
     is_abelian,
     parse_pauli,
 )
-from paulipriv.groups import _kernel, generating_set
-from helpers import brute_closure, random_abelian_subgroup, random_subgroup
+from paulipriv.groups import _kernel, generating_set, symplectic_partners
+from helpers import (
+    brute_closure,
+    dense_oracle,
+    random_abelian_subgroup,
+    random_subgroup,
+    transvect,
+)
 
 # Single-site commutation table in canonical class order I, X, Z, Y,
 # matching the displayed 4x4 qubit table entrywise.
@@ -342,22 +348,15 @@ def subgroup_case(draw):
 
 @st.composite
 def abelian_case(draw):
-    """Commuting generator rows: scaled Z's moved by random symplectic transvections.
-
-    Each transvection w -> w + lam <w, v> v preserves the commutation form
-    over any Z_d, so the rows keep commuting.
-    """
+    """Commuting generator rows: scaled Z's moved by random symplectic transvections."""
     d, n = draw(st.sampled_from(SPACES))
     scales = draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=n))
     rows = np.zeros((len(scales), 2 * n), dtype=np.int64)
     for i, s in enumerate(scales):
         rows[i, n + i] = s
     vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
-    for v, lam in draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=4)):
-        v = np.array(v)
-        form = rows[:, :n] @ v[n:] - rows[:, n:] @ v[:n]
-        rows = (rows + lam * form[:, None] * v[None, :]) % d
-    return d, n, rows.tolist()
+    moves = draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=4))
+    return d, n, transvect(rows, moves, d).tolist()
 
 
 def _subgroup(d, n, rows):
@@ -398,3 +397,66 @@ def test_property_extension_is_maximal_abelian(case):
     assert not ((x @ z.T - z @ x.T) % d).any()
     members = {c.x + c.z for c in M}
     assert all(c.x + c.z in members for c in K)
+
+
+# ---------------------------------------------------------------------------
+# Symplectic partners
+# ---------------------------------------------------------------------------
+
+
+def _form(a, b, d):
+    """chi exponents between (x | z) rows, shape (len(a), len(b))."""
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    n = a.shape[1] // 2
+    return (a[:, :n] @ b[:, n:].T - a[:, n:] @ b[:, :n].T) % d
+
+
+def _check_partners(K):
+    g, h = generating_set(K), symplectic_partners(K)
+    G, H = [c.x + c.z for c in g], [c.x + c.z for c in h]
+    assert (_form(G, H, K.d) == np.eye(len(g), dtype=np.int64)).all()
+    assert not _form(H, H, K.d).any()
+    return g, h
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+def test_symplectic_partners_z_type_n64(k):
+    n = 64
+    zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(k)]
+    _check_partners(close(zs, max_size=2**n))  # Howell rows only; nothing is enumerated
+
+
+@st.composite
+def prime_abelian_case(draw):
+    """Commuting independent rows over prime d, n <= 8: transvected Z's."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    rows = np.zeros((k, 2 * n), dtype=np.int64)
+    rows[np.arange(k), n + np.arange(k)] = 1
+    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    moves = draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=6))
+    return d, n, transvect(rows, moves, d).tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prime_abelian_case())
+def test_property_symplectic_partners(case):
+    d, n, rows = case
+    K = _subgroup(d, n, rows)
+    g, h = _check_partners(K)
+    assert len(g) == len(rows)
+    if d in (2, 3) and d**n <= 81:
+        # dense oracle: g_i h_j = omega^delta_ij h_j g_i
+        w = np.exp(2j * np.pi / d)
+        dense = lambda c: dense_oracle(d, 0, c.x, c.z)  # noqa: E731
+        for i, gi in enumerate(g):
+            for j, hj in enumerate(h):
+                a, b = dense(gi), dense(hj)
+                assert np.allclose(a @ b, w ** (i == j) * b @ a)
+
+
+def test_symplectic_partners_need_a_free_generator():
+    # over Z_4, 2 Z has chi exponent 0 or 2 with every class: no unit partner
+    with pytest.raises(PreconditionError):
+        symplectic_partners(close([parse_pauli("Z2", d=4).pauli_class()]))
