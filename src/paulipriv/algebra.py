@@ -7,9 +7,17 @@ simultaneous diagonalization of commuting normal families, trace-preserving
 conditional expectations, and Kraus-channel utilities including Choi-matrix
 equality.
 
-Rank and cluster decisions are never silent: singular values or eigenvalue
-gaps inside a factor-of-ten window around the decision threshold raise
-:class:`~paulipriv.errors.NumericalAmbiguityError`.
+The block structure A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U comes from the
+eigenspaces of one generic element of A (Murota, Kanno, Kojima & Kojima,
+Japan J. Indust. Appl. Math. 27, 2010) in O(dim A N^2 + N^3), with no
+N^2 x N^2 matrix; the commutant U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the
+conditional expectation are read off the same decomposition.
+
+Rank, cluster and coupling decisions are never silent: singular values,
+eigenvalue gaps or coupling norms inside a factor-of-ten window around the
+decision threshold raise :class:`~paulipriv.errors.NumericalAmbiguityError`.
+Dense constructors refuse inputs above ``_MAX_DENSE_ENTRIES`` complex entries
+with :class:`~paulipriv.errors.PreconditionError`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ __all__ = [
     "scalar_algebra",
     "simultaneous_diagonalize",
     "span_closure",
+    "structure_type",
 ]
 
 _RTOL_RANK = 1e-9          # relative singular-value threshold for rank decisions
@@ -46,7 +55,18 @@ _COMMUTE_TOL = 1e-9
 _TP_TOL = 1e-9
 _CHOI_TOL = 1e-8
 
-_STRUCTURE_SEED = 2016     # fixed seed for central-element sampling
+_STRUCTURE_SEED = 2016     # fixed seed for generic-element sampling
+_STRUCTURE_DRAWS = 16      # generic draws before structure_type gives up
+_MAX_DENSE_ENTRIES = 2**24  # bound on count * N^2 for dense operator stacks
+
+
+def _require_dense(count: int, N: int, what: str) -> None:
+    """Refuse a stack of ``count`` dense N x N operators above the size bound."""
+    if count * N * N > _MAX_DENSE_ENTRIES:
+        raise PreconditionError(
+            f"{what} need {count} x {N} x {N} = {count * N * N} complex entries, "
+            f"above the limit of {_MAX_DENSE_ENTRIES}"
+        )
 
 
 def _as_square(op, name="operator") -> np.ndarray:
@@ -134,6 +154,11 @@ def _append_independent(
         for _ in range(2):  # twice for numerical orthogonality
             for p in pieces:
                 c -= (c @ p.conj().T) @ p
+        # every singular value is at most the Frobenius norm, so a block below
+        # the window adds nothing and is kept away from the SVD, which may fail
+        # to converge on pure roundoff
+        if np.linalg.norm(c) < rtol / _AMBIGUITY_FACTOR:
+            continue
         _, s, vh = np.linalg.svd(c, full_matrices=False)
         tau = rtol * max(1.0, s[0] if len(s) else 0.0)
         inside = (s > tau / _AMBIGUITY_FACTOR) & (s < tau * _AMBIGUITY_FACTOR)
@@ -185,82 +210,6 @@ def span_closure(ops, *, N: int | None = None, rtol: float = _RTOL_RANK) -> Oper
     return OperatorAlgebra(stack.reshape(-1, N, N))
 
 
-def _commutator_gram(mats: np.ndarray) -> np.ndarray:
-    """PSD Gram matrix of the stacked commutator maps x -> [a_i, x].
-
-    Its kernel is the joint commutant of the family, using the identity
-    sum_i K_i^dag K_i with K_i = a_i (x) I - I (x) a_i^T on row-major vec.
-    """
-    r = mats.shape[1]
-    eye = np.eye(r, dtype=complex)
-    s1 = np.einsum("kab,kac->bc", mats.conj(), mats)
-    s2 = np.einsum("kab,kcb->ac", mats.conj(), mats)
-    m = np.kron(s1, eye) + np.kron(eye, s2)
-    # batched sums of kron(a^dag, a^T) and kron(a, conj(a))
-    adag = np.conj(np.transpose(mats, (0, 2, 1)))
-    m -= np.einsum("kac,kbd->abcd", adag, np.transpose(mats, (0, 2, 1))).reshape(
-        r * r, r * r
-    )
-    m -= np.einsum("kac,kbd->abcd", mats, mats.conj()).reshape(r * r, r * r)
-    return m
-
-
-def _commutant_kernel(mats: np.ndarray, rtol: float = _RTOL_RANK) -> np.ndarray:
-    """Orthonormal rows spanning the joint commutant of a matrix family.
-
-    The Gram matrix splits candidates from clear non-members; candidates are
-    then accepted or rejected on their exact commutator residuals, since the
-    eigenvalue route alone cannot resolve singular values near rtol * smax.
-    """
-    m = _commutator_gram(mats)
-    w, v = np.linalg.eigh(m)
-    lam_max = float(w[-1])
-    r = mats.shape[1]
-    if lam_max < 1e-12:
-        return v.T.copy()
-    tau = rtol * math.sqrt(lam_max)
-    cand = np.nonzero(w <= 1e-8 * lam_max)[0]
-    if not len(cand):
-        raise NumericalAmbiguityError("commutant kernel came out empty")
-    xs = v[:, cand].T.reshape(len(cand), r, r)
-    comms = np.matmul(mats[None], xs[:, None]) - np.matmul(xs[:, None], mats[None])
-    sigmas = np.sqrt(np.einsum("ckad,ckad->c", comms.conj(), comms).real)
-    inside = (sigmas > tau / _AMBIGUITY_FACTOR) & (sigmas < tau * _AMBIGUITY_FACTOR)
-    if inside.any():
-        raise NumericalAmbiguityError(
-            f"commutator residual {sigmas[inside][0]:.3e} within a factor of "
-            f"{_AMBIGUITY_FACTOR} of the threshold {tau:.3e}"
-        )
-    keep = v[:, cand[sigmas <= tau]].T.copy()
-    if not len(keep):
-        raise NumericalAmbiguityError("commutant kernel came out empty")
-    return keep
-
-
-def commutant(A: OperatorAlgebra, *, rtol: float = _RTOL_RANK) -> OperatorAlgebra:
-    """All matrices commuting with every element of A, as an algebra."""
-    kernel = _commutant_kernel(A.basis, rtol)
-    return OperatorAlgebra(kernel.reshape(-1, A.N, A.N))
-
-
-def _subspace_intersection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the intersection of two row spans."""
-    m = p.conj() @ q.T
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    inside = (s > 1 - 1e-5) & (s < 1 - 1e-9)
-    if inside.any():
-        raise NumericalAmbiguityError(
-            f"principal angle cosine {s[inside][0]:.12f} too close to 1 to decide"
-        )
-    count = int((s >= 1 - 1e-9).sum())
-    if count == 0:
-        return np.zeros((0, p.shape[1]), dtype=complex)
-    rows = vh[:count].conj() @ q
-    # re-orthonormalize; near-unit singular values leave tiny skew
-    qmat, _ = np.linalg.qr(rows.T)
-    return qmat.T[:count]
-
-
 def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group sorted eigenvalues into clusters separated by more than tol."""
     gaps = np.diff(values)
@@ -301,163 +250,155 @@ class StructureType:
         return iter(self.blocks)
 
 
-def _hermitian_family(rows: np.ndarray, r: int) -> list[np.ndarray]:
-    fam = []
-    for row in rows:
-        m = row.reshape(r, r)
-        h = (m + m.conj().T) / 2
-        g = (m - m.conj().T) / 2j
-        if np.abs(h).max() > 1e-12:
-            fam.append(h)
-        if np.abs(g).max() > 1e-12:
-            fam.append(g)
-    return fam
-
-
-def _generic_split(
-    herms: list[np.ndarray], want: int, rng, cluster_tol: float, sizes=None
-) -> list[np.ndarray] | None:
-    """Eigenspaces of a generic hermitian combination, or None if degenerate."""
-    dim = herms[0].shape[0]
-    for _ in range(16):
-        c = np.zeros((dim, dim), dtype=complex)
-        for h in herms:
-            c += rng.standard_normal() * h
-        w, v = np.linalg.eigh(c)
-        clusters = _cluster_indices(w, cluster_tol)
-        if len(clusters) != want:
-            continue
-        if sizes is not None and any(len(c_) != s for c_, s in zip(clusters, sizes)):
-            continue
-        return [v[:, inds] for inds in clusters]
-    return None
-
-
-def _intertwiner(pi_ref: np.ndarray, pi_j: np.ndarray, q: int) -> np.ndarray:
-    """Unitary T with pi_j(a) T = T pi_ref(a) for all basis images a."""
-    eye = np.eye(q, dtype=complex)
-    rows = []
-    for a_ref, a_j in zip(pi_ref, pi_j):
-        rows.append(np.kron(a_j, eye) - np.kron(eye, a_ref.T))
-    s_mat = np.vstack(rows)
-    _, s, vh = np.linalg.svd(s_mat)
-    if len(s) >= 2 and s[-2] < 1e-4:
-        raise NumericalAmbiguityError("intertwiner space is not one-dimensional")
-    if s[-1] > 1e-8:
-        raise NumericalAmbiguityError("no intertwiner found between block copies")
-    t = vh[-1].conj().reshape(q, q)  # right singular vector, not its conjugate
-    g = t.conj().T @ t
-    lam = np.trace(g).real / q
-    if np.abs(g - lam * np.eye(q)).max() > 1e-8 * max(lam, 1e-12):
-        raise NumericalAmbiguityError("intertwiner failed the unitarity check")
-    return t / math.sqrt(lam)
-
-
-def _verify_block_form(
-    u: np.ndarray, A: OperatorAlgebra, blocks, tol: float = _BLOCK_TOL
-) -> float:
-    n = A.N
-    if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-10:
+def _verify_block_form(u: np.ndarray, A: OperatorAlgebra, blocks) -> None:
+    """Raise unless U a U^dag lies in sum_i I_k (x) M_q for every basis element."""
+    if np.abs(u @ u.conj().T - np.eye(A.N)).max() > 1e-10:
         raise NumericalAmbiguityError("structure unitary failed the unitarity check")
-    dev = 0.0
-    for a in A.basis:
-        m = u @ a @ u.conj().T
-        offset = 0
-        recon = np.zeros_like(m)
-        for k, q in blocks:
-            size = k * q
-            blk = m[offset : offset + size, offset : offset + size]
-            t4 = blk.reshape(k, q, k, q)
-            avg = np.einsum("iaib->ab", t4) / k
-            recon[offset : offset + size, offset : offset + size] = np.kron(
-                np.eye(k), avg
-            )
-            offset += size
-        dev = max(dev, np.abs(m - recon).max())
-    if dev > tol:
-        raise NumericalAmbiguityError(
-            f"block form deviates by {dev:.3e}, above the tolerance {tol:.1e}"
+    m = u @ A.basis @ u.conj().T
+    recon = np.zeros_like(m)
+    offset = 0
+    for k, q in blocks:
+        span = slice(offset, offset + k * q)
+        avg = np.einsum("niaib->nab", m[:, span, span].reshape(-1, k, q, k, q)) / k
+        recon[:, span, span] = np.einsum("ij,nab->niajb", np.eye(k), avg).reshape(
+            -1, k * q, k * q
         )
-    return dev
+        offset += k * q
+    dev = np.abs(m - recon).max()
+    if dev > _BLOCK_TOL:
+        raise NumericalAmbiguityError(
+            f"block form deviates by {dev:.3e}, above the tolerance {_BLOCK_TOL:.1e}"
+        )
+
+
+def _generic_element(A: OperatorAlgebra, rng) -> np.ndarray:
+    coeffs = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    return np.tensordot(coeffs, A.basis, axes=1)
+
+
+def _decompose(A: OperatorAlgebra, rng) -> tuple[StructureType, np.ndarray]:
+    """One generic-element draw of the block decomposition, verified, or raise.
+
+    A generic hermitian h in A has, inside each block I_k (x) M_q, q distinct
+    eigenvalues of multiplicity k; a generic g in A couples two eigenspaces of
+    h exactly when they lie in the same block, and there g's coupling block is
+    a multiple of the unitary that aligns their multiplicity bases.
+    """
+    x = _generic_element(A, rng)
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    clusters = _cluster_indices(w, _CLUSTER_TOL * np.abs(w).max())
+    starts = [c[0] for c in clusters]
+    gv = v.conj().T @ _generic_element(A, rng) @ v
+    norms = np.sqrt(
+        np.add.reduceat(np.add.reduceat(np.abs(gv) ** 2, starts, axis=0), starts, axis=1)
+    )
+    tau = _RTOL_RANK * np.linalg.norm(gv)
+    inside = (norms > tau / _AMBIGUITY_FACTOR) & (norms < tau * _AMBIGUITY_FACTOR)
+    if inside.any():
+        raise NumericalAmbiguityError(
+            f"eigenspace coupling {norms[inside][0]:.3e} within a factor of "
+            f"{_AMBIGUITY_FACTOR} of the threshold {tau:.3e}"
+        )
+
+    # each block is a first free eigenspace with the free ones g couples it to;
+    # a wrong grouping cannot pass the checks below
+    blocks = []
+    free = np.ones(len(clusters), dtype=bool)
+    for first, ref in enumerate(clusters):
+        if not free[first]:
+            continue
+        free[first] = False
+        members = [first, *np.nonzero(free & (norms[first] > tau))[0]]
+        free[members] = False
+        aligned = []
+        for t in members:
+            inds = clusters[t]
+            if len(inds) != len(ref):
+                raise NumericalAmbiguityError("coupled eigenspaces differ in size")
+            # polar factor of the coupling block v_t^dag g v_first
+            left, _, right = np.linalg.svd(gv[np.ix_(inds, ref)])
+            aligned.append(v[:, inds] @ (left @ right))
+        k, q = len(ref), len(members)
+        # column j*q + a is multiplicity vector j of eigenspace a
+        blocks.append((k, q, np.stack(aligned, axis=2).reshape(A.N, k * q)))
+
+    blocks.sort(key=lambda item: (item[1], item[0]))
+    st = StructureType(tuple((k, q) for k, q, _ in blocks))
+    if st.algebra_dimension != A.dim:
+        raise NumericalAmbiguityError(
+            f"blocks {st.blocks} span {st.algebra_dimension} dimensions, "
+            f"the algebra {A.dim}"
+        )
+    u = np.hstack([cols for _, _, cols in blocks]).conj().T
+    _verify_block_form(u, A, st.blocks)
+    return st, u
 
 
 def structure_type(
-    A: OperatorAlgebra,
-    *,
-    seed: int = _STRUCTURE_SEED,
-    cluster_tol: float = _CLUSTER_TOL,
+    A: OperatorAlgebra, *, seed: int = _STRUCTURE_SEED
 ) -> tuple[StructureType, np.ndarray]:
     """Block structure of A and a unitary U with U a U^dag in block form.
+
+    The blocks come from the eigenspaces of one generic element of A
+    (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010):
+    O(dim A N^2 + N^3) per draw.  A draw is accepted only when the blocks
+    have sum q_i^2 = dim A and every basis element passes the block-form
+    check, which together prove A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U;
+    otherwise another draw is taken, up to 16.
 
     Parameters
     ----------
     A : OperatorAlgebra
     seed : int
-        Seed for the generic central-element draws; fixed by default so that
+        Seed for the generic-element draws; fixed by default so that
         repeated runs return identical unitaries.
 
     Returns
     -------
     (StructureType, U) where U a U^dag lies in the direct sum of
     I_{k_i} (x) M_{q_i} for every basis element a, within 1e-8.
+
+    Raises
+    ------
+    NumericalAmbiguityError
+        When no draw yields a verified block form, e.g. for a span that is
+        not closed under products.
     """
-    n = A.N
     rng = np.random.default_rng(seed)
-    comm = commutant(A)
-    center_rows = _subspace_intersection(A.rows(), comm.rows())
-    m = len(center_rows)
-    if m == 0:
-        raise NumericalAmbiguityError("empty center; the algebra is not unital")
-    spaces = _generic_split(_hermitian_family(center_rows, n), m, rng, cluster_tol)
-    if spaces is None:
-        raise NumericalAmbiguityError(
-            f"could not split the center into {m} distinct eigenvalue clusters"
-        )
+    for _ in range(_STRUCTURE_DRAWS):
+        try:
+            return _decompose(A, rng)
+        except NumericalAmbiguityError as exc:
+            last = exc
+    raise NumericalAmbiguityError(
+        f"no verified block form in {_STRUCTURE_DRAWS} generic draws; last: {last}"
+    )
 
-    blocks = []
-    for v in spaces:
-        r = v.shape[1]
-        restricted = np.einsum("ai,kab,bj->kij", v.conj(), A.basis, v)
-        rbasis = _append_independent(None, restricted.reshape(len(restricted), -1))
-        q2 = len(rbasis)
-        q = math.isqrt(q2)
-        if q * q != q2:
-            raise NumericalAmbiguityError(
-                f"restricted block dimension {q2} is not a perfect square"
-            )
-        k, rem = divmod(r, q)
-        if rem:
-            raise NumericalAmbiguityError(
-                f"block size {r} is not a multiple of the factor size {q}"
-            )
-        if q == 1 or k == 1:
-            cols = v
-        else:
-            rmats = rbasis.reshape(q2, r, r)
-            sub_comm = _commutant_kernel(rmats)
-            w_spaces = _generic_split(
-                _hermitian_family(sub_comm, r), k, rng, cluster_tol, sizes=[q] * k
-            )
-            if w_spaces is None:
-                raise NumericalAmbiguityError(
-                    "could not split a factor block into multiplicity copies"
-                )
-            pis = [
-                np.einsum("ai,kab,bj->kij", w.conj(), rmats, w) for w in w_spaces
-            ]
-            local = [w_spaces[0]]
-            for w, pi in zip(w_spaces[1:], pis[1:]):
-                local.append(w @ _intertwiner(pis[0], pi, q))
-            cols = v @ np.hstack(local)
-        blocks.append((k, q, cols))
 
-    blocks.sort(key=lambda item: (item[1], item[0]))
-    u = np.hstack([cols for _, _, cols in blocks]).conj().T
-    st = StructureType(tuple((k, q) for k, q, _ in blocks))
-    if st.total_dimension != n:
-        raise NumericalAmbiguityError("block dimensions do not add up to N")
-    _verify_block_form(u, A, st.blocks)
-    return st, u
+def _matrix_units(st: StructureType, u: np.ndarray):
+    """Yield (k, q, units) per block: the k^2 operators U^dag (E_jl (x) I_q) U."""
+    n = u.shape[0]
+    _require_dense(sum(k * k for k, _ in st.blocks), n, "the commutant matrix units")
+    cols_all = u.conj().T
+    offset = 0
+    for k, q in st.blocks:
+        cols = cols_all[:, offset : offset + k * q].reshape(n, k, q)
+        offset += k * q
+        units = np.einsum("xja,yla->jlxy", cols, cols.conj()).reshape(k * k, n, n)
+        yield k, q, units
+
+
+def commutant(A: OperatorAlgebra) -> OperatorAlgebra:
+    """All matrices commuting with every element of A, as an algebra.
+
+    With A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U from :func:`structure_type`,
+    the commutant is U^dag (sum_i M_{k_i} (x) I_{q_i}) U, spanned by the
+    normalized matrix units E_jl (x) I_q of each block.
+    """
+    st, u = structure_type(A)
+    return OperatorAlgebra(
+        np.concatenate([units / math.sqrt(q) for _, q, units in _matrix_units(st, u)])
+    )
 
 
 def simultaneous_diagonalize(
@@ -619,19 +560,9 @@ def conditional_expectation(
     matrix-unit Kraus operators scaled by 1/sqrt(k).
     """
     st, u = structure_type(A, seed=seed)
-    cols_all = u.conj().T
-    kraus = []
-    offset = 0
-    for k, q in st.blocks:
-        cols = cols_all[:, offset : offset + k * q]
-        eye_q = np.eye(q, dtype=complex)
-        for j in range(k):
-            for l in range(k):
-                unit = np.zeros((k, k), dtype=complex)
-                unit[j, l] = 1.0
-                kraus.append(cols @ np.kron(unit, eye_q) @ cols.conj().T / math.sqrt(k))
-        offset += k * q
-    return Channel(np.array(kraus))
+    return Channel(
+        np.concatenate([units / math.sqrt(k) for k, _, units in _matrix_units(st, u)])
+    )
 
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
@@ -641,6 +572,7 @@ def scalar_algebra(n: int) -> OperatorAlgebra:
 
 def full_matrix_algebra(n: int) -> OperatorAlgebra:
     """All of M_n, with the matrix units as orthonormal basis."""
+    _require_dense(n * n, n, "the full matrix algebra's basis operators")
     basis = np.zeros((n * n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -650,6 +582,7 @@ def full_matrix_algebra(n: int) -> OperatorAlgebra:
 
 def diagonal_algebra(n: int) -> OperatorAlgebra:
     """The diagonal subalgebra of M_n."""
+    _require_dense(n, n, "the diagonal algebra's basis operators")
     basis = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         basis[i, i, i] = 1.0

@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import (
     Channel,
     OperatorAlgebra,
+    _require_dense,
     apply_channel,
     diagonal_algebra,
     structure_type,
@@ -83,6 +84,7 @@ def encoded_qubit_generators(n: int) -> EncodedQubitAlgebra:
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
     """The span of a subgroup's class representatives as an operator algebra."""
     n_dim = K.d**K.n
+    _require_dense(len(K), n_dim, "the subgroup's dense class representatives")
     basis = np.array([c.to_dense() / math.sqrt(n_dim) for c in K])
     return OperatorAlgebra(basis)
 
@@ -98,6 +100,7 @@ def channel_from_subgroup(G: PauliSubgroup) -> Channel:
             "channel_from_subgroup requires an Abelian subgroup; "
             "the given subgroup has non-commuting elements"
         )
+    _require_dense(len(G), G.d**G.n, "the subgroup's dense Kraus operators")
     scale = 1.0 / math.sqrt(len(G))
     return Channel(np.array([c.to_dense() * scale for c in G]))
 

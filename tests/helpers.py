@@ -94,6 +94,53 @@ def transvect(rows, moves, d: int) -> np.ndarray:
     return rows
 
 
+def gram_commutant(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the joint commutant of a matrix family.
+
+    The kernel of the N^2 x N^2 PSD Gram matrix sum_i K_i^dag K_i, where
+    K_i = a_i (x) I - I (x) a_i^T is x -> [a_i, x] on row-major vec, read off
+    by a dense eigendecomposition with a fixed relative cut.
+    """
+    r = basis.shape[1]
+    eye = np.eye(r, dtype=complex)
+    s1 = np.einsum("kab,kac->bc", basis.conj(), basis)
+    s2 = np.einsum("kab,kcb->ac", basis.conj(), basis)
+    gram = np.kron(s1, eye) + np.kron(eye, s2)
+    # batched sums of kron(a^dag, a^T) and kron(a, conj(a))
+    adag = np.conj(np.transpose(basis, (0, 2, 1)))
+    gram -= np.einsum("kac,kbd->abcd", adag, np.transpose(basis, (0, 2, 1))).reshape(
+        r * r, r * r
+    )
+    gram -= np.einsum("kac,kbd->abcd", basis, basis.conj()).reshape(r * r, r * r)
+    w, v = np.linalg.eigh(gram)
+    return v[:, w <= 1e-8 * max(w[-1], 1.0)].T.copy()
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def planted_basis(blocks, u: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of u (sum_i I_k (x) M_q) u^dag for blocks (k, q)."""
+    n = sum(k * q for k, q in blocks)
+    basis = []
+    offset = 0
+    for k, q in blocks:
+        for a in range(q):
+            for b in range(q):
+                m = np.zeros((n, n), dtype=complex)
+                unit = np.zeros((q, q))
+                unit[a, b] = 1.0
+                m[offset : offset + k * q, offset : offset + k * q] = np.kron(
+                    np.eye(k), unit
+                ) / np.sqrt(k)
+                basis.append(u @ m @ u.conj().T)
+        offset += k * q
+    return np.array(basis)
+
+
 def random_density(rng, n: int) -> np.ndarray:
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = m @ m.conj().T

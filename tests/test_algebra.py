@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paulipriv import (
     Channel,
     NumericalAmbiguityError,
+    OperatorAlgebra,
     PreconditionError,
     apply_channel,
     choi_equal,
@@ -23,8 +26,16 @@ from paulipriv import (
     subgroup_algebra,
 )
 from paulipriv import close
-from paulipriv.algebra import superoperator
-from helpers import X2, Z2, random_density, random_subgroup
+from paulipriv.algebra import _append_independent, superoperator
+from helpers import (
+    X2,
+    Z2,
+    gram_commutant,
+    haar_unitary,
+    planted_basis,
+    random_density,
+    random_subgroup,
+)
 
 
 def dense(s, d=2):
@@ -63,6 +74,22 @@ def test_span_closure_generates_products():
     alg = span_closure([dense("XI"), dense("ZI")])
     assert alg.dim == 4  # I, X, Z and XZ on the first site
     assert alg.contains(dense("XI") @ dense("ZI"))
+
+
+def test_append_independent_skips_roundoff_without_svd(monkeypatch):
+    # rows already in the span leave pure roundoff after projection, on which
+    # LAPACK's SVD may fail to converge; such a block must never reach it
+    rng = np.random.default_rng(105)
+    stack = _append_independent(
+        None, rng.standard_normal((6, 36)) + 1j * rng.standard_normal((6, 36))
+    )
+    again = stack + 1e-16 * rng.standard_normal(stack.shape)
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert np.array_equal(_append_independent(stack, again), stack)
 
 
 def test_commutant_of_diagonal_is_diagonal():
@@ -163,6 +190,57 @@ def test_commutative_pauli_algebras_flat_structure():
         ks = {k for k, _ in st.blocks}
         assert all(q == 1 for _, q in st.blocks)
         assert len(ks) == 1  # equal multiplicities
+
+
+def _block_form_deviation(u, basis, blocks):
+    """Largest entry of u a u^dag outside sum_i I_k (x) M_q, over the basis."""
+    dev = 0.0
+    for a in basis:
+        m = u @ a @ u.conj().T
+        recon = np.zeros_like(m)
+        offset = 0
+        for k, q in blocks:
+            blk = m[offset : offset + k * q, offset : offset + k * q].reshape(k, q, k, q)
+            avg = np.einsum("iaib->ab", blk) / k
+            recon[offset : offset + k * q, offset : offset + k * q] = np.kron(np.eye(k), avg)
+            offset += k * q
+        dev = max(dev, np.abs(m - recon).max())
+    return dev
+
+
+PLANTED_BLOCKS = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4
+).filter(lambda blocks: sum(k * q for k, q in blocks) <= 16)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(blocks=PLANTED_BLOCKS, seed=st.integers(0, 2**32 - 1))
+@example(blocks=[(2, 2), (2, 2), (1, 3)], seed=0)  # a repeated (k, q) pair
+@example(blocks=[(3, 1), (1, 1), (2, 1)], seed=1)  # q = 1: commutative
+@example(blocks=[(1, 3), (1, 2), (1, 1)], seed=2)  # k = 1: multiplicity free
+@example(blocks=[(4, 4)], seed=3)  # a single block: a factor
+def test_property_planted_structure_and_commutant_against_gram_oracle(blocks, seed):
+    N = sum(k * q for k, q in blocks)
+    alg = OperatorAlgebra(planted_basis(blocks, haar_unitary(np.random.default_rng(seed), N)))
+    st_, u = structure_type(alg)
+    assert st_.blocks == tuple(sorted(blocks, key=lambda b: (b[1], b[0])))
+    assert np.abs(u @ u.conj().T - np.eye(N)).max() < 1e-10
+    assert _block_form_deviation(u, alg.basis, st_.blocks) < 1e-8
+
+    comm = commutant(alg)
+    ref = gram_commutant(alg.basis)
+    proj, ref_proj = comm.rows().conj().T @ comm.rows(), ref.conj().T @ ref
+    assert np.abs(proj - ref_proj).max() <= 1e-8
+    assert alg.dim * comm.dim == sum(q * q for _, q in blocks) * sum(k * k for k, _ in blocks)
+
+
+def test_span_not_closed_under_products_never_returns():
+    # XI and ZZ anticommute, so XI ZZ lies outside span{II, XI, ZZ}
+    not_closed = OperatorAlgebra(np.array([dense(s) / 2 for s in ("II", "XI", "ZZ")]))
+    with pytest.raises(NumericalAmbiguityError):
+        structure_type(not_closed)
+    with pytest.raises(NumericalAmbiguityError):
+        commutant(not_closed)
 
 
 def test_simdiag_already_diagonal_gives_permutation():

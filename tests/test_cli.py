@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,29 @@ def test_linalg_error_exit_3(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "channel", "condexp", "--algebra", str(path))
     assert code == 3
     assert "SVD did not converge" in err
+
+
+QUQUART_SITES = ",".join(
+    ":".join(p if j == i else "I" for j in range(4)) for i in range(4) for p in ("X1", "Z1")
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "condexp", "--algebra", "full", "--d", "4", "--n", "4"],
+    ["channel", "condexp", "--algebra", "delta100000"],
+    # all 4^8 = 65536 classes of four ququart sites, each a 256 x 256 matrix
+    ["channel", "condexp", "--algebra", QUQUART_SITES, "--d", "4"],
+])
+def test_dense_size_bound_exit_3_without_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "above the limit of 16777216" in err
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from paulipriv import (
     check_privatized_algebra,
     choi_equal,
     close,
+    commutant,
     diagonal_subgroup,
     encoded_qubit_generators,
     full_matrix_algebra,
@@ -175,6 +176,14 @@ def test_max_pipeline_structure_n5():
     assert cert.verdict
     st, _ = structure_type(alg)
     assert st.blocks == ((8, 4),)  # two encoded qubits
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_encoded_algebra_blocks_and_commutant_at_n6_n7(n):
+    alg = encoded_qubit_generators(n).algebra
+    st, _ = structure_type(alg)
+    assert st.blocks == ((2 ** (n - n // 2), 2 ** (n // 2)),)
+    assert commutant(alg).dim == 4 ** (n - n // 2)
 
 
 def test_max_pipeline_preconditions():
