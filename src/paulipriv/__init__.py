@@ -54,6 +54,7 @@ from .pauli import (
     PauliElement,
     chi_exponent,
     chi_value,
+    dense_paulis,
     format_pauli,
     omega_power,
     parse_pauli,
@@ -64,6 +65,7 @@ from .privacy import (
     QuasiorthogonalityReport,
     check_private_subsystem,
     check_privatized_algebra,
+    check_privatized_subgroup,
     is_quasiorthogonal,
     kraus_mutually_commuting,
     quasiorth_condition_suite,

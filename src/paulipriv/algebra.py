@@ -60,12 +60,12 @@ _STRUCTURE_DRAWS = 16      # generic draws before structure_type gives up
 _MAX_DENSE_ENTRIES = 2**24  # bound on count * N^2 for dense operator stacks
 
 
-def _require_dense(count: int, N: int, what: str) -> None:
+def _require_dense(count: int, N: int, what: str, hint: str = "") -> None:
     """Refuse a stack of ``count`` dense N x N operators above the size bound."""
     if count * N * N > _MAX_DENSE_ENTRIES:
         raise PreconditionError(
             f"{what} need {count} x {N} x {N} = {count * N * N} complex entries, "
-            f"above the limit of {_MAX_DENSE_ENTRIES}"
+            f"above the limit of {_MAX_DENSE_ENTRIES}" + (f"; {hint}" if hint else "")
         )
 
 

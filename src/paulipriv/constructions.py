@@ -9,6 +9,12 @@ h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i}.  The private algebra is the span
 of the subgroup H they generate: every non-identity class of H anticommutes
 with some g_j, so the group channel sends it to zero, which is exactly why
 span H is privatized.  Maximal K (k = n) and general K (k < n) are alike.
+
+The pipeline's certificate is read off the intersection of H and Ann K by
+:func:`~paulipriv.privacy.check_privatized_subgroup`, with no dense channel;
+the dense :func:`~paulipriv.privacy.check_privatized_algebra` stays the test
+oracle and certifies what the CLI is given.  Dense class stacks come from one
+:func:`~paulipriv.pauli.dense_paulis` call per subgroup.
 """
 
 from __future__ import annotations
@@ -28,12 +34,19 @@ from .algebra import (
 )
 from .errors import PreconditionError
 from .groups import PauliSubgroup, close, generating_set, is_abelian, symplectic_partners
-from .pauli import PauliClass, PauliElement, omega_power
+from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
 from .privacy import (
     PrivacyCertificate,
     check_privatized_algebra,
+    check_privatized_subgroup,
     is_quasiorthogonal,
     kraus_mutually_commuting,
+)
+
+# Where a dense stack is refused, the privacy question itself stays answerable.
+_INTEGER_ROUTE = (
+    "check_privatized_subgroup(K, H) decides the privacy of span H from H and "
+    "annihilator(K), with no operator stack and only the N x N fixed state"
 )
 
 __all__ = [
@@ -84,9 +97,9 @@ def encoded_qubit_generators(n: int) -> EncodedQubitAlgebra:
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
     """The span of a subgroup's class representatives as an operator algebra."""
     n_dim = K.d**K.n
-    _require_dense(len(K), n_dim, "the subgroup's dense class representatives")
-    basis = np.array([c.to_dense() / math.sqrt(n_dim) for c in K])
-    return OperatorAlgebra(basis)
+    _require_dense(len(K), n_dim, "the subgroup's dense class representatives",
+                   _INTEGER_ROUTE)
+    return OperatorAlgebra(dense_paulis(K.d, *K.xz_arrays()) / math.sqrt(n_dim))
 
 
 def channel_from_subgroup(G: PauliSubgroup) -> Channel:
@@ -100,9 +113,10 @@ def channel_from_subgroup(G: PauliSubgroup) -> Channel:
             "channel_from_subgroup requires an Abelian subgroup; "
             "the given subgroup has non-commuting elements"
         )
-    _require_dense(len(G), G.d**G.n, "the subgroup's dense Kraus operators")
+    _require_dense(len(G), G.d**G.n, "the subgroup's dense Kraus operators",
+                   _INTEGER_ROUTE)
     scale = 1.0 / math.sqrt(len(G))
-    return Channel(np.array([c.to_dense() * scale for c in G]))
+    return Channel(dense_paulis(G.d, *G.xz_arrays()) * scale)
 
 
 def max_private_qubits(n: int) -> int:
@@ -117,14 +131,14 @@ def _private_pipeline(K: PauliSubgroup) -> tuple[OperatorAlgebra, PrivacyCertifi
     k = len(g)
     encoded = [h[j + 1] for j in range(0, k - 1, 2)]
     encoded += [h[j] * h[j + 1] * g[j] * g[j + 1] for j in range(0, k - 1, 2)]
-    algebra = subgroup_algebra(close(encoded, d=2, n=K.n))
-    cert = check_privatized_algebra(
-        channel_from_subgroup(K),
-        algebra,
+    H = close(encoded, d=2, n=K.n)
+    cert = check_privatized_subgroup(
+        K,
+        H,
         channel_description=f"group channel, {len(K)} Kraus operators on {2**K.n} dims",
         subject_description=f"encoded Pauli subgroup algebra, {k // 2} qubits",
     )
-    return algebra, cert
+    return subgroup_algebra(H), cert
 
 
 def private_algebra_for_max_abelian(

@@ -14,7 +14,9 @@ Conventions, fixed once and relied on by every other module:
   so that ``a b = chi(a, b) * b a``.
 
 The symbolic layer is pure integer arithmetic; floating point enters only
-through :meth:`PauliElement.to_dense` and the phase-value helpers.
+through :func:`dense_paulis`, which realizes a whole stack of operators at once
+(``PauliElement.to_dense`` is its one-operator case), and the phase-value
+helpers.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "PauliClass",
     "chi_exponent",
     "chi_value",
+    "dense_paulis",
     "format_pauli",
     "omega_power",
     "parse_pauli",
@@ -61,15 +64,50 @@ def omega_power(d: int, k: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _site_powers(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked powers (X^0..X^{d-1}, Z^0..Z^{d-1}) of the single-site matrices."""
+def _dense_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only zeta^0..zeta^{2d-1} and single-site X^a @ Z^b, indexed [a, b]."""
+    zeta = np.array([zeta_power(d, k) for k in range(2 * d)])
     shift = np.zeros((d, d), dtype=complex)
     for i in range(d):
         shift[i, (i + 1) % d] = 1.0
     clock = np.diag([omega_power(d, j) for j in range(d)])
     xp = np.stack([np.linalg.matrix_power(shift, a) for a in range(d)])
-    zp = np.stack([np.linalg.matrix_power(clock, a) for a in range(d)])
-    return xp, zp
+    zp = np.stack([np.linalg.matrix_power(clock, b) for b in range(d)])
+    site = np.stack([np.stack([xp[a] @ zp[b] for b in range(d)]) for a in range(d)])
+    zeta.setflags(write=False)
+    site.setflags(write=False)
+    return zeta, site
+
+
+def dense_paulis(d: int, x, z, phases=None) -> np.ndarray:
+    """Dense matrices of m operators at once, shape (m, d^n, d^n).
+
+    Operator i is ``zeta**phases[i] * kron_k(X**x[i, k] @ Z**z[i, k])`` for
+    (m, n) exponent arrays ``x`` and ``z``; ``phases`` defaults to 0, the
+    canonical class representatives.  The Kronecker product is folded site by
+    site, one broadcast product over the whole stack per site, in the order
+    and arithmetic of a per-operator ``np.kron`` chain, so every entry (signed
+    zeros included) is the float that chain gives.  Callers bound the size.
+    """
+    if d < 2:
+        raise PreconditionError(f"qudit dimension must be >= 2, got {d}")
+    x = np.asarray(x, dtype=np.int64) % d
+    z = np.asarray(z, dtype=np.int64) % d
+    if x.ndim != 2 or x.shape != z.shape:
+        raise PreconditionError(
+            f"exponent arrays must share one (m, n) shape, got {x.shape} and {z.shape}"
+        )
+    m, n = x.shape
+    phases = np.zeros(m, dtype=np.int64) if phases is None else np.asarray(phases)
+    if phases.shape != (m,):
+        raise PreconditionError(f"need {m} phase exponents, got shape {phases.shape}")
+    zeta, site = _dense_tables(d)
+    out = zeta[phases % (2 * d)].reshape(m, 1, 1)
+    for k in range(n):
+        s = site[x[:, k], z[:, k]]
+        r = out.shape[1] * d
+        out = (out[:, :, None, :, None] * s[:, None, :, None, :]).reshape(m, r, r)
+    return out
 
 
 def _check_same_space(a, b) -> None:
@@ -146,11 +184,7 @@ class PauliElement:
 
     def to_dense(self) -> np.ndarray:
         """Dense unitary on (C^d)^(x)n, multiplicative on products."""
-        xp, zp = _site_powers(self.d)
-        out = np.array([[self.phase_value]], dtype=complex)
-        for xk, zk in zip(self.x, self.z):
-            out = np.kron(out, xp[xk] @ zp[zk])
-        return out
+        return dense_paulis(self.d, [self.x], [self.z], [self.phase])[0]
 
     def to_string(self) -> str:
         return format_pauli(self)

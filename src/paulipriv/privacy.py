@@ -2,14 +2,18 @@
 
 A channel privatizes an algebra B when every unit-trace element of B maps to
 one fixed state rho0; by linearity it is enough to check the basis, which is
-what the certificate records.  Quasiorthogonality of two algebras is the
-trace condition tr(ab)/N = tr(a) tr(b)/N^2 on basis pairs.  The module also
-reports the centered-trace form (N times that deviation) and evaluates the
-two conditional-expectation forms as an independent cross-check.
+what the certificate records.  For the group channel of an Abelian Pauli
+subgroup K and the span of a Pauli subgroup H the same certificate is an
+integer fact, H meeting Ann K only in the identity, and is computed as one.
+Quasiorthogonality of two algebras is the trace condition
+tr(ab)/N = tr(a) tr(b)/N^2 on basis pairs.  The module also reports the
+centered-trace form (N times that deviation) and evaluates the two
+conditional-expectation forms as an independent cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,17 +21,20 @@ import numpy as np
 from .algebra import (
     Channel,
     OperatorAlgebra,
+    _require_dense,
     apply_channel,
     conditional_expectation,
     superoperator,
 )
 from .errors import PreconditionError
+from .groups import PauliSubgroup, _chi_rows, is_abelian
 
 __all__ = [
     "PrivacyCertificate",
     "QuasiorthogonalityReport",
     "check_private_subsystem",
     "check_privatized_algebra",
+    "check_privatized_subgroup",
     "is_quasiorthogonal",
     "kraus_mutually_commuting",
     "quasiorth_condition_suite",
@@ -53,6 +60,21 @@ class PrivacyCertificate:
     verdict: bool
     per_basis: tuple[float, ...]
     input_hashes: dict = field(default_factory=dict)
+
+
+def _certificate(rho0, per_basis, tol, channel_description, subject_description,
+                 input_hashes) -> PrivacyCertificate:
+    dev = max(per_basis)
+    return PrivacyCertificate(
+        channel_description=channel_description,
+        subject_description=subject_description,
+        rho0=rho0,
+        max_deviation=dev,
+        tolerance=tol,
+        verdict=dev <= tol,
+        per_basis=tuple(per_basis),
+        input_hashes=dict(input_hashes or {}),
+    )
 
 
 def _check_same_dim(A: OperatorAlgebra, B: OperatorAlgebra) -> None:
@@ -155,21 +177,48 @@ def check_privatized_algebra(
         raise PreconditionError("channel and algebra dimensions differ")
     n = phi.N
     rho0 = apply_channel(phi, np.eye(n, dtype=complex)) / n
-    per_basis = tuple(
+    per_basis = [
         float(np.abs(apply_channel(phi, b) - np.trace(b) * rho0).max())
         for b in B.basis
-    )
-    dev = max(per_basis)
-    return PrivacyCertificate(
-        channel_description=channel_description,
-        subject_description=subject_description,
-        rho0=rho0,
-        max_deviation=dev,
-        tolerance=tol,
-        verdict=dev <= tol,
-        per_basis=per_basis,
-        input_hashes=dict(input_hashes or {}),
-    )
+    ]
+    return _certificate(rho0, per_basis, tol, channel_description,
+                        subject_description, input_hashes)
+
+
+def check_privatized_subgroup(
+    K: PauliSubgroup,
+    H: PauliSubgroup,
+    *,
+    channel_description: str = "group channel",
+    subject_description: str = "subgroup algebra",
+) -> PrivacyCertificate:
+    """Certify that the group channel of an Abelian K privatizes span H, from integers.
+
+    By character orthogonality Phi_K(rho) = |K|^-1 sum_k k rho k^dag fixes a
+    class P of Ann K and sends every other class to 0.  So rho0 = I/N, and the
+    deviation of the basis element P/sqrt(N) of ``subgroup_algebra(H)`` is
+    1/sqrt(N) when P is a non-identity class of Ann K and 0 otherwise: span H
+    is privatized exactly when H meets Ann K only in the identity.  The
+    certificate matches :func:`check_privatized_algebra` on the dense channel
+    and algebra, with ``per_basis`` in the class order of H, and needs no
+    dense operator but rho0.  The certificate is exact: every deviation is 0
+    or 1/sqrt(N) >= 1/64 within the dense size bound, so it takes no tolerance
+    and records the default one.
+    """
+    if (K.d, K.n) != (H.d, H.n):
+        raise PreconditionError(
+            f"subgroups live on different spaces: d={K.d},n={K.n} vs d={H.d},n={H.n}"
+        )
+    if not is_abelian(K):
+        raise PreconditionError("the group channel needs an Abelian subgroup K")
+    n = K.d**K.n
+    _require_dense(1, n, "the fixed state rho0 = I/N")
+    rows = H.rows.astype(np.int64)
+    # P is fixed by the channel iff chi(P, g) = 1 for every Howell generator g of K
+    fixed = ~_chi_rows(rows, K._gens, K.d).any(axis=1) & rows.any(axis=1)
+    per_basis = np.where(fixed, 1.0 / math.sqrt(n), 0.0).tolist()
+    return _certificate(np.eye(n, dtype=complex) / n, per_basis, _PRIVACY_TOL,
+                        channel_description, subject_description, None)
 
 
 def check_private_subsystem(
@@ -218,17 +267,8 @@ def check_private_subsystem(
             out = apply_channel(phi, v @ np.kron(sigma, unit) @ v.conj().T)
             target = rho0 if j == k else 0.0
             per_basis.append(float(np.abs(out - target).max()))
-    dev = max(per_basis)
-    return PrivacyCertificate(
-        channel_description=channel_description,
-        subject_description=subject_description,
-        rho0=rho0,
-        max_deviation=dev,
-        tolerance=tol,
-        verdict=dev <= tol,
-        per_basis=tuple(per_basis),
-        input_hashes=dict(input_hashes or {}),
-    )
+    return _certificate(rho0, per_basis, tol, channel_description,
+                        subject_description, input_hashes)
 
 
 def kraus_mutually_commuting(phi: Channel, tol: float = _QUASI_TOL) -> bool:

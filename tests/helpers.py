@@ -7,6 +7,8 @@ tuples, and commutation phases are read off dense products.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from paulipriv import PauliClass, all_classes, annihilator, close
@@ -19,15 +21,24 @@ X3 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
 Z3 = np.diag([1.0, W3, W3**2]).astype(complex)
 
 
+def root_of_unity(t: float) -> complex:
+    """exp(2j*pi*t), rounded to 15 decimals so that quarter turns are exact."""
+    return np.round(np.exp(2j * np.pi * t), 15)
+
+
+@lru_cache(maxsize=None)
 def site_matrix(d: int, x: int, z: int) -> np.ndarray:
-    xm, zm = (X2, Z2) if d == 2 else (X3, Z3)
-    assert d in (2, 3), "oracle only covers d = 2, 3"
-    return np.linalg.matrix_power(xm, x) @ np.linalg.matrix_power(zm, z)
+    """Read-only X^x Z^z on one qudit: X[i, (i + 1) % d] = 1 and Z = diag(omega^j)."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=1)
+    clock = np.diag([root_of_unity(j / d) for j in range(d)])
+    out = np.linalg.matrix_power(shift, x) @ np.linalg.matrix_power(clock, z)
+    out.setflags(write=False)
+    return out
 
 
 def dense_oracle(d: int, phase_exp: int, x, z) -> np.ndarray:
     """Independent dense realization of zeta^phase * kron(X^x Z^z)."""
-    out = np.array([[np.exp(1j * np.pi * phase_exp / d)]], dtype=complex)
+    out = np.array([[root_of_unity(phase_exp / (2 * d))]], dtype=complex)
     for xk, zk in zip(x, z):
         out = np.kron(out, site_matrix(d, xk, zk))
     return out

@@ -193,6 +193,17 @@ def test_privacy_certify_construct(capsys, tmp_path):
     assert on_disk["verdict"] is True
 
 
+def test_privacy_certify_construct_qubit_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "privacy", "certify", "--group", "ZI,IZ", "--construct")
+    assert code == 0
+    res = payload(out)
+    assert res["inputs"]["hashes"] == {
+        "algebra": "1bb3c60dc5291034b9bacc26a41d0284af8b84a91c998cd3a07a8dfd09c2f879",
+        "channel": "067e6091a87ac5e03ab1150015a443854313024b039050ea586aeb4ac04da92b",
+    }
+    assert res["max_deviation"] == 0.0
+
+
 def test_privacy_certify_identity_channel_fails(capsys):
     code, out, _ = run(capsys, "privacy", "certify", "--channel", "identity",
                        "--n", "2", "--algebra", "II,IX,YY,YZ")
@@ -332,6 +343,29 @@ def test_dense_size_bound_exit_3_without_allocating(capsys, argv):
         tracemalloc.stop()
     assert code == 3
     assert "above the limit of 16777216" in err
+    assert peak < 64 * 2**20
+
+
+DIAGONAL_QUQUARTS = ",".join(
+    ":".join("Z1" if j == i else "I" for j in range(5)) for i in range(5)
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "condexp", "--algebra", QUQUART_SITES, "--d", "4"],
+    # |K| = 4^5 Kraus operators of size 1024 x 1024
+    ["privacy", "certify", "--group", DIAGONAL_QUQUARTS, "--d", "4",
+     "--algebra", "scalars"],
+])
+def test_subgroup_size_bound_names_the_integer_route(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "check_privatized_subgroup" in err and "annihilator" in err
     assert peak < 64 * 2**20
 
 

@@ -10,6 +10,7 @@ from paulipriv import (
     PreconditionError,
     channel_from_subgroup,
     check_privatized_algebra,
+    check_privatized_subgroup,
     choi_equal,
     close,
     commutant,
@@ -155,6 +156,17 @@ def test_channel_rejects_nonabelian():
     assert "Abelian" in str(err.value)
 
 
+def test_dense_refusal_names_the_integer_route_which_answers():
+    K = diagonal_subgroup(4, 5)  # 1024 Kraus operators on C^1024: refused
+    H = close([cls("X1:I:I:I:I", 4)])
+    for build in (channel_from_subgroup, subgroup_algebra):
+        with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+            build(K)
+    cert = check_privatized_subgroup(K, H)
+    assert cert.verdict and cert.per_basis == (0.0,) * 4
+    assert not check_privatized_subgroup(K, close([cls("Z2:I:I:I:I", 4)])).verdict
+
+
 def test_max_pipeline_diagonal_group_reproduces_motivating_algebra():
     alg, cert = private_algebra_for_max_abelian(diagonal_subgroup(2, 2))
     assert cert.verdict
@@ -295,4 +307,8 @@ def test_property_pipeline_against_dense_oracle(case):
     assert same_span(alg, span_closure(alg.basis))  # closed *-algebra
     assert cert.verdict
     assert np.abs(cert.rho0 - np.eye(2**n) / 2**n).max() < 1e-12
+    oracle = check_privatized_algebra(channel_from_subgroup(K), alg)
+    assert oracle.verdict == cert.verdict
+    assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
+    assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
     assert is_quasiorthogonal(subgroup_algebra(K), alg)

@@ -13,9 +13,10 @@ from paulipriv import (
     all_classes,
     chi_exponent,
     chi_value,
+    dense_paulis,
     parse_pauli,
 )
-from helpers import W3, X2, Y2, Z2, X3, Z3, dense_oracle, random_class
+from helpers import W3, X2, Y2, Z2, X3, Z3, dense_oracle, random_class, root_of_unity
 
 
 def test_dense_z_qubit():
@@ -49,6 +50,52 @@ def test_dense_unitary():
             )
             u = p.to_dense()
             assert np.abs(u @ u.conj().T - np.eye(d**n)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in range(2, 7) for n in range(1, 7) if d**n <= 64]
+)
+def test_dense_paulis_and_to_dense_every_class_against_oracle(d, n):
+    """Every class at phase 0 from one stack, and to_dense at every phase.
+
+    Class i is also realized by to_dense at phase i mod 2d, so every phase is
+    met.  For d in {2, 4} the entries are exact, so the stack and every
+    quarter-turn phase must equal the oracle exactly.
+    """
+    classes = all_classes(d, n)
+    x = np.array([c.x for c in classes])
+    z = np.array([c.z for c in classes])
+    exact = d in (2, 4)
+    for start in range(0, len(classes), 256):
+        stack = dense_paulis(d, x[start : start + 256], z[start : start + 256])
+        assert stack.shape == (min(256, len(classes) - start), d**n, d**n)
+        for i, (c, m) in enumerate(zip(classes[start : start + 256], stack), start):
+            oracle = dense_oracle(d, 0, c.x, c.z)
+            phase = i % (2 * d)
+            u = PauliElement(d, n, phase, c.x, c.z).to_dense()
+            phased = root_of_unity(phase / (2 * d)) * oracle
+            if exact:
+                assert np.array_equal(m, oracle)
+            else:
+                assert np.abs(m - oracle).max() <= 1e-14
+            if exact and (2 * phase) % d == 0:
+                assert np.array_equal(u, phased)
+            else:
+                assert np.abs(u - phased).max() <= 1e-14
+
+
+def test_dense_paulis_shapes_and_refusals():
+    assert dense_paulis(3, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 9, 9)
+    ph = dense_paulis(2, [[0], [0]], [[1], [1]], phases=[0, 2])
+    assert np.array_equal(ph[1], -ph[0])
+    with pytest.raises(PreconditionError):
+        dense_paulis(2, [[0, 1]], [[0]])
+    with pytest.raises(PreconditionError):
+        dense_paulis(2, [0, 1], [0, 1])
+    with pytest.raises(PreconditionError):
+        dense_paulis(2, [[0]], [[0]], phases=[0, 1])
+    with pytest.raises(PreconditionError):
+        dense_paulis(1, [[0]], [[0]])
 
 
 def test_mul_involution_of_x():

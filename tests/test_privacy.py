@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulipriv import (
     Channel,
     PreconditionError,
+    annihilator,
     apply_channel,
+    channel_from_subgroup,
     check_private_subsystem,
     check_privatized_algebra,
+    check_privatized_subgroup,
     close,
     conditional_expectation,
     diagonal_algebra,
@@ -23,7 +28,7 @@ from paulipriv import (
     structure_type,
     subgroup_algebra,
 )
-from helpers import random_subgroup
+from helpers import random_abelian_subgroup, random_class, random_subgroup
 
 
 def dense(s, d=2):
@@ -207,3 +212,65 @@ def test_kraus_mutually_commuting():
     phi3, K = qutrit_channel()
     assert is_abelian(K)
     assert kraus_mutually_commuting(phi3)
+
+
+# ---------------------------------------------------------------------------
+# The integer certificate against the dense one
+# ---------------------------------------------------------------------------
+
+
+def classes(text, d=2):
+    return [parse_pauli(t, d=d).pauli_class() for t in text.split(",")]
+
+
+def assert_same_certificate(K, H):
+    fast = check_privatized_subgroup(K, H)
+    slow = check_privatized_algebra(channel_from_subgroup(K), subgroup_algebra(H))
+    assert fast.verdict == slow.verdict
+    assert len(fast.per_basis) == len(slow.per_basis) == len(H)
+    assert np.abs(np.subtract(fast.per_basis, slow.per_basis)).max() <= 1e-12
+    assert np.abs(fast.rho0 - slow.rho0).max() <= 1e-12
+    assert fast.max_deviation == max(fast.per_basis)
+    return fast
+
+
+def test_subgroup_certificate_phase_flip_both_verdicts():
+    K = close(classes("ZI,IZ"))
+    private = assert_same_certificate(K, close(classes("IX,YY")))
+    assert private.verdict and private.per_basis == (0.0,) * 4
+    leaky = assert_same_certificate(K, close(classes("ZZ")))
+    assert not leaky.verdict and leaky.per_basis == (0.0, 0.5)
+
+
+@st.composite
+def certificate_case(draw):
+    """(d, n, seed, mode) with d^n <= 32; mode picks how H is drawn."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, {2: 5, 3: 3, 4: 2}[d]))
+    return d, n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(certificate_case())
+def test_property_subgroup_certificate_against_dense(case):
+    d, n, seed, mode = case
+    rng = np.random.default_rng(seed)
+    K = random_abelian_subgroup(rng, d, n)
+    if mode == 0:  # arbitrary H
+        H = random_subgroup(rng, d, n)
+    elif mode == 1:  # H inside Ann K: fixed by the channel, never private
+        ann = annihilator(K).elements
+        H = close([ann[i] for i in rng.integers(0, len(ann), 2)], d=d, n=n)
+    else:  # one cyclic group, private for prime d unless it commutes with K
+        H = close([random_class(rng, d, n)], d=d, n=n)
+    assert_same_certificate(K, H)
+
+
+def test_subgroup_certificate_refusals():
+    K = close(classes("ZI,IZ"))
+    with pytest.raises(PreconditionError, match="Abelian"):
+        check_privatized_subgroup(close(classes("XI,ZI")), K)
+    with pytest.raises(PreconditionError, match="different spaces"):
+        check_privatized_subgroup(K, close(classes("ZII")))
+    with pytest.raises(PreconditionError, match="different spaces"):
+        check_privatized_subgroup(K, close(classes("Z1:I", d=3)))
