@@ -33,7 +33,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, close, generating_set, is_abelian, symplectic_partners
+from .groups import PauliSubgroup, _howell, _partner_rows, close, is_abelian
 from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
 from .privacy import (
     PrivacyCertificate,
@@ -127,16 +127,15 @@ def max_private_qubits(n: int) -> int:
 
 
 def _private_pipeline(K: PauliSubgroup) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    g, h = generating_set(K), symplectic_partners(K)
-    k = len(g)
-    encoded = [h[j + 1] for j in range(0, k - 1, 2)]
-    encoded += [h[j] * h[j + 1] * g[j] * g[j + 1] for j in range(0, k - 1, 2)]
-    H = close(encoded, d=2, n=K.n)
+    g, h = K._gens, _partner_rows(K._gens, 2)
+    # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
+    encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]]) % 2
+    H = PauliSubgroup._from_howell(2, K.n, *_howell(encoded, 2))
     cert = check_privatized_subgroup(
         K,
         H,
         channel_description=f"group channel, {len(K)} Kraus operators on {2**K.n} dims",
-        subject_description=f"encoded Pauli subgroup algebra, {k // 2} qubits",
+        subject_description=f"encoded Pauli subgroup algebra, {len(g) // 2} qubits",
     )
     return subgroup_algebra(H), cert
 

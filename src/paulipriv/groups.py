@@ -52,19 +52,19 @@ def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """
     a = np.asarray(rows, dtype=np.int64) % d
     out, pivots = [], []
-    for c in range(a.shape[1]):
-        a = a[a.any(axis=1)]
+    for c in range(a.shape[1]):  # zero rows never pivot; each pivot step drops them
         if not a[:, c].any():
             continue
         i = int(np.argmin(np.gcd(a[:, c], d)))
-        p, a = a[i], np.delete(a, i, axis=0)
+        p, a = a[i], np.concatenate((a[:i], a[i + 1 :]))
         while True:
-            # scale the pivot by a unit so that it divides d
+            # scale the pivot by the smallest unit that makes it divide d
             g = math.gcd(int(p[c]), d)
-            units = (u for u in range(1, d + 1) if math.gcd(u, d) == 1)
-            p = p * next(u for u in units if u * p[c] % d == g) % d
-            bad = np.flatnonzero(a[:, c] % g)
-            if not bad.size:
+            if p[c] != g:  # a unit pivot has one such unit, its inverse
+                units = (u for u in range(1, d) if math.gcd(u, d) == 1 and u * p[c] % d == g)
+                p = p * (pow(int(p[c]), -1, d) if g == 1 else next(units)) % d
+            bad = np.flatnonzero(a[:, c] % g) if g > 1 else ()
+            if not len(bad):
                 break
             # Z_d has stable rank 1: some p_c + t r_c generates the ideal (p_c, r_c)
             r = a[bad[0]]
@@ -72,7 +72,8 @@ def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
             t = next(t for t in range(d) if math.gcd(g + t * int(r[c]), d) == h)
             p = (p + t * r) % d
         a = (a - (a[:, c] // g)[:, None] * p) % d
-        a = np.vstack([a, d // g * p % d])
+        a = np.vstack([a, d // g * p % d]) if g > 1 else a  # that row is 0 for g = 1
+        a = a[a.any(axis=1)]
         out.append(p)
         pivots.append(c)
     return np.array(out, dtype=np.int64).reshape(len(out), a.shape[1]), tuple(pivots)
@@ -289,24 +290,34 @@ def _commuting(rows: np.ndarray, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return _kernel(np.hstack([-rows[:, n:], rows[:, :n]]), d)
 
 
+def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
+    """(x | z) rows of the partners of commuting rows g, as in symplectic_partners."""
+    (k, width), n = g.shape, g.shape[1] // 2
+    m_t = np.vstack([-g[:, n:].T, g[:, :n].T])  # M^T for M = [-g_z | g_x]
+    a, pivots = _howell(np.hstack([m_t, np.eye(width, dtype=np.int64)]), d)
+    for j in range(k):
+        if pivots[j : j + 1] != (j,) or a[j, j] != 1:
+            raise PreconditionError(f"generator {j + 1} of K has no symplectic partner")
+    for j in reversed(range(k - 1)):  # back-substitution: the k x k block becomes I
+        a[j] = (a[j] - a[j, j + 1 : k] @ a[j + 1 : k]) % d
+    h = a[:k, k:]
+    return (h - np.triu(_chi_rows(h, h, d), 1) @ g) % d
+
+
 def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
     """Commuting classes h_j with chi(g_i, h_j) = omega^delta_ij, g = generating_set(K).
 
-    Symplectic Gram-Schmidt on Howell rows, for Abelian K with free generators
-    (every Abelian K for prime d): h_j is a kernel row of the constraints
-    {g_i : i != j} and {h_l : l < j} with a unit exponent against g_j, rescaled
-    to 1.  No element is enumerated, so any n works.
+    Symplectic Gram-Schmidt (Koenig & Smolin, arXiv:1406.2170) for Abelian K
+    whose Howell rows have pivot entries 1 (any Abelian K, prime d), in one Howell
+    solve of [M^T | I], M = [-g_z | g_x] so that (M v)_i = chi(g_i, v).  Back-
+    substitution turns its first k rows into h0 with chi(g_i, h0_j) = delta_ij, and
+    h = h0 + triu(-C, 1) g, C = chi(h0, h0), commute.  O(n^3); nothing is enumerated.
     """
-    d, n, g = K.d, K.n, K._gens
-    h = np.zeros((0, 2 * n), dtype=np.int64)
-    for j in range(len(g)):
-        cand, _ = _commuting(np.vstack([np.delete(g, j, axis=0), h]), d)
-        e = _chi_rows(g[j : j + 1], cand, d)[0].tolist()
-        units = [i for i, v in enumerate(e) if math.gcd(v, d) == 1]
-        if not units:
-            raise PreconditionError(f"generator {j + 1} of K has no symplectic partner")
-        h = np.vstack([h, cand[units[0]] * pow(e[units[0]], -1, d) % d])
-    return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h.tolist()]
+    if not is_abelian(K):
+        raise PreconditionError("symplectic partners need an Abelian K")
+    d, n = K.d, K.n
+    h = _partner_rows(K._gens, d).tolist()
+    return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h]
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:

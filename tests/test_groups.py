@@ -1,5 +1,7 @@
 """Subgroup machinery: closures, character matrices, annihilators, extensions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from paulipriv import (
     is_abelian,
     parse_pauli,
 )
-from paulipriv.groups import _kernel, generating_set, symplectic_partners
+from paulipriv.groups import _howell, _kernel, generating_set, symplectic_partners
 from helpers import (
     brute_closure,
     dense_oracle,
@@ -399,6 +401,44 @@ def test_property_extension_is_maximal_abelian(case):
     assert all(c.x + c.z in members for c in K)
 
 
+def _span(rows, d, width):
+    """Brute-force row span over Z_d as a set of tuples."""
+    out = np.zeros((1, width), dtype=np.int64)
+    for r in np.asarray(rows, dtype=np.int64).reshape(-1, width):
+        steps = (out[None, :, :] + np.arange(d)[:, None, None] * r) % d
+        out = np.unique(steps.reshape(-1, width), axis=0)
+    return set(map(tuple, out.tolist()))
+
+
+@st.composite
+def howell_case(draw):
+    """A random matrix over Z_d, d in 2..12, width <= 8 and d^width <= 4096."""
+    d = draw(st.integers(2, 12))
+    width = draw(st.integers(1, max(w for w in range(1, 9) if d**w <= 4096)))
+    row = st.lists(st.integers(0, d - 1), min_size=width, max_size=width)
+    scale = st.sampled_from([k for k in range(1, d) if d % k == 0])
+    rows = draw(st.lists(st.tuples(row, scale), max_size=5))
+    return d, width, [[v * s % d for v in r] for r, s in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(howell_case())
+def test_property_howell_form(case):
+    d, width, rows = case
+    h, pivots = _howell(np.array(rows, dtype=np.int64).reshape(-1, width), d)
+    span = _span(rows, d, width)
+    assert _span(h, d, width) == span
+    assert math.prod(d // int(r[c]) for r, c in zip(h, pivots)) == len(span)
+    # echelon form, each pivot entry a divisor of d
+    assert list(pivots) == sorted(set(pivots)) and len(pivots) == len(h)
+    for r, c in zip(h, pivots):
+        assert not r[:c].any() and r[c] > 0 and d % r[c] == 0
+    # Howell property: what vanishes before column c is spanned by the rows from c on
+    for c in range(width + 1):
+        tail = [r for r, p in zip(h, pivots) if p >= c]
+        assert {v for v in span if not any(v[:c])} == _span(tail, d, width)
+
+
 # ---------------------------------------------------------------------------
 # Symplectic partners
 # ---------------------------------------------------------------------------
@@ -419,17 +459,20 @@ def _check_partners(K):
     return g, h
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 64])
-def test_symplectic_partners_z_type_n64(k):
-    n = 64
+@pytest.mark.parametrize("k", [1, 2, 5, 64, 128])
+def test_symplectic_partners_z_type_large_n(k):
+    n = max(k, 64)
     zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(k)]
-    _check_partners(close(zs, max_size=2**n))  # Howell rows only; nothing is enumerated
+    _, h = _check_partners(close(zs, max_size=2**n))  # Howell rows only; nothing is enumerated
+    # the partners of the Z_j are exactly the X_j (the pinned ZI,IZ construction rests on it)
+    assert [c.x for c in h] == [tuple(int(i == j) for i in range(n)) for j in range(k)]
+    assert not any(any(c.z) for c in h)
 
 
 @st.composite
-def prime_abelian_case(draw):
-    """Commuting independent rows over prime d, n <= 8: transvected Z's."""
-    d = draw(st.sampled_from([2, 3, 5]))
+def free_abelian_case(draw):
+    """Commuting rows of scale 1 over d in {2, 3, 5, 4, 6}, n <= 8: transvected Z's."""
+    d = draw(st.sampled_from([2, 3, 5, 4, 6]))
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, n))
     rows = np.zeros((k, 2 * n), dtype=np.int64)
@@ -439,14 +482,23 @@ def prime_abelian_case(draw):
     return d, n, transvect(rows, moves, d).tolist()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(prime_abelian_case())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(free_abelian_case())
 def test_property_symplectic_partners(case):
     d, n, rows = case
     K = _subgroup(d, n, rows)
+    # Partners of the Howell rows exist iff every pivot entry is 1: then the
+    # rows have an invertible k x k minor; otherwise K has fewer characters
+    # (|K| < d^k) than the d^k exponent tuples the partners would realize.
+    # Over composite d a free K can have such rows, e.g. <X^2 Z> over Z_4
+    # has the Howell rows X^2 Z and Z^2.
+    if any(h[c] != 1 for h, c in zip(K._gens, K._pivots)):
+        with pytest.raises(PreconditionError, match="no symplectic partner"):
+            symplectic_partners(K)
+        return
     g, h = _check_partners(K)
     assert len(g) == len(rows)
-    if d in (2, 3) and d**n <= 81:
+    if d in (2, 3, 4) and d**n <= 81:
         # dense oracle: g_i h_j = omega^delta_ij h_j g_i
         w = np.exp(2j * np.pi / d)
         dense = lambda c: dense_oracle(d, 0, c.x, c.z)  # noqa: E731
@@ -456,7 +508,23 @@ def test_property_symplectic_partners(case):
                 assert np.allclose(a @ b, w ** (i == j) * b @ a)
 
 
+def test_symplectic_partners_of_the_trivial_group():
+    assert symplectic_partners(close((), d=4, n=3)) == []
+
+
+def test_symplectic_partners_name_the_generator_without_one():
+    # over Z_4, <Z_1, Z_2^2>: Z_2^2 has even chi exponents with every class
+    K = close([parse_pauli(s, d=4).pauli_class() for s in ("Z1:I", "I:Z2")])
+    with pytest.raises(PreconditionError, match="generator 2 of K"):
+        symplectic_partners(K)
+
+
+def test_symplectic_partners_need_an_abelian_group():
+    with pytest.raises(PreconditionError, match="Abelian"):
+        symplectic_partners(close([cls("X"), cls("Z")]))
+
+
 def test_symplectic_partners_need_a_free_generator():
     # over Z_4, 2 Z has chi exponent 0 or 2 with every class: no unit partner
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="generator 1 of K"):
         symplectic_partners(close([parse_pauli("Z2", d=4).pauli_class()]))
