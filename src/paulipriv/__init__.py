@@ -21,7 +21,6 @@ from .algebra import (
     full_matrix_algebra,
     left_regular_trace,
     scalar_algebra,
-    simultaneous_diagonalize,
     span_closure,
     structure_type,
 )

@@ -3,9 +3,8 @@
 Operator algebras are stored as orthonormal bases in the Hilbert-Schmidt
 inner product tr(a^dag b).  The module provides span closure, commutants,
 block-structure extraction with an explicit conjugating unitary,
-simultaneous diagonalization of commuting normal families, trace-preserving
-conditional expectations, and Kraus-channel utilities including Choi-matrix
-equality.
+trace-preserving conditional expectations, and Kraus-channel utilities
+including Choi-matrix equality.
 
 The block structure A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U comes from the
 eigenspaces of one generic element of A (Murota, Kanno, Kojima & Kojima,
@@ -42,7 +41,6 @@ __all__ = [
     "full_matrix_algebra",
     "left_regular_trace",
     "scalar_algebra",
-    "simultaneous_diagonalize",
     "span_closure",
     "structure_type",
 ]
@@ -51,7 +49,6 @@ _RTOL_RANK = 1e-9          # relative singular-value threshold for rank decision
 _AMBIGUITY_FACTOR = 10.0   # window around the threshold that raises instead
 _CLUSTER_TOL = 1e-7        # eigenvalue clustering tolerance
 _BLOCK_TOL = 1e-8          # verification tolerance for block forms
-_COMMUTE_TOL = 1e-9
 _TP_TOL = 1e-9
 _CHOI_TOL = 1e-8
 
@@ -176,32 +173,38 @@ def _append_independent(
 def span_closure(ops, *, N: int | None = None, rtol: float = _RTOL_RANK) -> OperatorAlgebra:
     """Smallest unital *-algebra containing ``ops``, as an orthonormal basis.
 
-    The identity is adjoined automatically; the span is enriched by products
-    and adjoints until it reaches a fixed point (at most N^2 dimensions).
+    The identity is adjoined automatically.  The basis is grown by spinning
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005):
+    each new basis element is multiplied on the left by a fixed set of
+    multipliers, the orthonormal basis of span{I, ops} and its adjoints,
+    until no product adds a dimension.  The span W reached contains I and is
+    closed under left multiplication by the generators and their adjoints,
+    so it holds every word in them and nothing else: W is the *-algebra they
+    generate, closed under products and adjoints.  Each new element costs at
+    most 2 (len(ops) + 1) candidate products, and the span never exceeds N^2
+    dimensions.  ``N``, when given, must match the operators.
     """
     mats = [_as_square(op) for op in ops]
-    if mats:
-        N = mats[0].shape[0]
-        for m in mats:
-            if m.shape[0] != N:
-                raise PreconditionError("span_closure inputs differ in dimension")
-    elif N is None:
+    if N is None and not mats:
         raise PreconditionError("span_closure with no operators needs explicit N")
+    N = mats[0].shape[0] if N is None else N
+    if N < 1 or any(m.shape[0] != N for m in mats):
+        raise PreconditionError(f"span_closure needs N >= 1 and every input {N} x {N}")
     L = N * N
     rows = [np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)]
     rows += [m.reshape(-1) for m in mats]
     stack = _append_independent(None, np.array(rows), rtol)
+    first = stack.reshape(-1, N, N)
+    mults = np.concatenate([first, first.conj().transpose(0, 2, 1)]).reshape(-1, N)
     pending = list(range(len(stack)))
     while pending:
-        chunk = max(1, 8_000_000 // max(1, len(stack) * L))
+        chunk = max(1, 8_000_000 // (len(mults) * L))
         take, pending = pending[:chunk], pending[chunk:]
-        newm = stack[take].reshape(-1, N, N)
-        allm = stack.reshape(-1, N, N)
-        p1 = np.einsum("iab,jbc->ijac", allm, newm).reshape(-1, L)
-        p2 = np.einsum("iab,jbc->ijac", newm, allm).reshape(-1, L)
-        adj = np.conj(np.transpose(newm, (0, 2, 1))).reshape(-1, L)
+        # every multiplier times every new element in one (2 r N, N) @ (N, t N) product
+        newm = stack[take].reshape(-1, N, N).transpose(1, 0, 2).reshape(N, -1)
+        cands = (mults @ newm).reshape(-1, N, len(take), N).transpose(0, 2, 1, 3)
         before = len(stack)
-        stack = _append_independent(stack, np.vstack([p1, p2, adj]), rtol)
+        stack = _append_independent(stack, cands.reshape(-1, L), rtol)
         if len(stack) > L:
             raise NumericalAmbiguityError(
                 f"span closure exceeded N^2 = {L} dimensions; rank decisions drifted"
@@ -401,82 +404,6 @@ def commutant(A: OperatorAlgebra) -> OperatorAlgebra:
     )
 
 
-def simultaneous_diagonalize(
-    ops, *, commute_tol: float = _COMMUTE_TOL, cluster_tol: float = _CLUSTER_TOL
-) -> np.ndarray:
-    """Unitary U with U a U^dag diagonal for every commuting normal input.
-
-    Columns of U^dag are ordered canonically: joint eigenvalue tuples sorted
-    in descending lexicographic order (real part before imaginary part,
-    operators in input order), so already-diagonal inputs yield a
-    permutation.  Raises :class:`PreconditionError` when the inputs fail the
-    normality or commutation checks at ``commute_tol``.
-    """
-    mats = [_as_square(op) for op in ops]
-    if not mats:
-        raise PreconditionError("simultaneous_diagonalize needs at least one operator")
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape[0] != n:
-            raise PreconditionError("operators differ in dimension")
-        if np.abs(a @ a.conj().T - a.conj().T @ a).max() > commute_tol:
-            raise PreconditionError("input operator is not normal")
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if np.abs(a @ b - b @ a).max() > commute_tol:
-                raise PreconditionError("input operators do not commute")
-
-    herms = []
-    for a in mats:
-        h = (a + a.conj().T) / 2
-        g = (a - a.conj().T) / 2j
-        if np.abs(h).max() > 1e-14:
-            herms.append(h)
-        if np.abs(g).max() > 1e-14:
-            herms.append(g)
-
-    def recurse(family, dim):
-        if dim == 1:
-            return np.eye(1, dtype=complex)
-        # near-scalar restrictions split nothing; skip them
-        while family:
-            h = family[0]
-            if np.abs(h - (np.trace(h) / dim) * np.eye(dim)).max() > 1e-12:
-                break
-            family = family[1:]
-        if not family:
-            return np.eye(dim, dtype=complex)
-        w, v = np.linalg.eigh(family[0])
-        cols = []
-        for inds in _cluster_indices(w, cluster_tol):
-            vc = v[:, inds]
-            rest = [vc.conj().T @ h @ vc for h in family[1:]]
-            cols.append(vc @ recurse(rest, len(inds)))
-        return np.hstack(cols)
-
-    v = recurse(herms, n)
-    keys = []
-    for j in range(n):
-        col = v[:, j]
-        key = []
-        for a in mats:
-            lam = col.conj() @ a @ col
-            key.extend((round(lam.real, 6), round(lam.imag, 6)))
-        keys.append(tuple(key))
-    order = sorted(range(n), key=lambda j: keys[j], reverse=True)
-    v = v[:, order]
-    for j in range(n):
-        idx = int(np.argmax(np.abs(v[:, j])))
-        ph = v[idx, j]
-        v[:, j] *= np.conj(ph) / abs(ph)
-    u = v.conj().T
-    for a in mats:
-        diag = u @ a @ u.conj().T
-        if np.abs(diag - np.diag(np.diag(diag))).max() > _BLOCK_TOL:
-            raise NumericalAmbiguityError("joint diagonalization failed verification")
-    return u
-
-
 def left_regular_trace(A: OperatorAlgebra, a, *, rtol: float = _RTOL_RANK) -> complex:
     """Trace of left multiplication by ``a`` acting on all of M_N.
 
@@ -532,8 +459,16 @@ def apply_channel(phi: Channel, rho) -> np.ndarray:
 
 
 def superoperator(phi: Channel) -> np.ndarray:
-    """Matrix of the channel on row-major vectorized inputs."""
-    return sum(np.kron(k, k.conj()) for k in phi.kraus)
+    """Matrix of the channel on row-major vectorized inputs, sum_k K (x) conj(K).
+
+    One product F^T conj(F) of the flattened Kraus stack F, shape (m, N^2),
+    gives the entries K[a, b] conj(K[c, d]) summed over k at ((a, b), (c, d));
+    the reshuffle to ((a, c), (b, d)) is the Kronecker layout.
+    """
+    n = phi.N
+    f = phi.kraus.reshape(len(phi.kraus), n * n)
+    s = (f.T @ f.conj()).reshape(n, n, n, n)
+    return s.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def choi_matrix(phi: Channel) -> np.ndarray:

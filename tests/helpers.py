@@ -162,3 +162,48 @@ def class_index(d: int, n: int):
     """Canonical class list plus a lookup from (x, z) tuples to positions."""
     classes = all_classes(d, n)
     return classes, {(c.x, c.z): i for i, c in enumerate(classes)}
+
+
+def product_closure(ops, N: int | None = None, cut: float = 1e-8) -> np.ndarray:
+    """Orthonormal rows spanning the unital *-algebra generated by ``ops``.
+
+    The two-sided closure: every new basis element is multiplied by the whole
+    basis on the left and on the right, and its adjoint is taken, until no
+    candidate adds a dimension.  Independence is decided by an SVD of the
+    projected candidates with a fixed relative cut and no ambiguity window.
+    """
+    mats = [np.asarray(op, dtype=complex) for op in ops]
+    N = mats[0].shape[0] if mats else N
+    L = N * N
+
+    def extend(stack, cands):
+        for lo in range(0, len(cands), 2048):
+            c = cands[lo : lo + 2048]
+            c = c[np.linalg.norm(c, axis=1) > 1e-12]
+            if not len(c):
+                continue
+            c = c / np.linalg.norm(c, axis=1)[:, None]
+            for _ in range(2):
+                c = c - (c @ stack.conj().T) @ stack
+            if np.linalg.norm(c) < cut:
+                continue
+            _, s, vh = np.linalg.svd(c, full_matrices=False)
+            stack = np.vstack([stack, vh[s > cut * max(1.0, s[0])]])
+        return stack
+
+    stack = np.eye(N, dtype=complex).reshape(1, L) / np.sqrt(N)
+    stack = extend(stack, np.array([m.reshape(-1) for m in mats]).reshape(-1, L))
+    pending = list(range(len(stack)))
+    while pending:
+        chunk = max(1, 4_000_000 // (len(stack) * L))
+        take, pending = pending[:chunk], pending[chunk:]
+        new, every = stack[take].reshape(-1, N, N), stack.reshape(-1, N, N)
+        cands = np.vstack([
+            np.einsum("iab,jbc->ijac", every, new).reshape(-1, L),
+            np.einsum("iab,jbc->ijac", new, every).reshape(-1, L),
+            new.conj().transpose(0, 2, 1).reshape(-1, L),
+        ])
+        before = len(stack)
+        stack = extend(stack, cands)
+        pending.extend(range(before, len(stack)))
+    return stack

@@ -20,7 +20,6 @@ from paulipriv import (
     left_regular_trace,
     parse_pauli,
     scalar_algebra,
-    simultaneous_diagonalize,
     span_closure,
     structure_type,
     subgroup_algebra,
@@ -33,6 +32,8 @@ from helpers import (
     gram_commutant,
     haar_unitary,
     planted_basis,
+    product_closure,
+    random_class,
     random_density,
     random_subgroup,
 )
@@ -234,6 +235,106 @@ def test_property_planted_structure_and_commutant_against_gram_oracle(blocks, se
     assert alg.dim * comm.dim == sum(q * q for _, q in blocks) * sum(k * k for k, _ in blocks)
 
 
+def closure_case(kind, seed, count, shape):
+    """``count`` generators of one kind: planted blocks, a Pauli list or non-normal.
+
+    ``shape`` is the block list for "planted", (d, n) for "pauli" and N for
+    "nonnormal" (sparse strictly upper triangular, so nilpotent and never
+    normal, under a Haar unitary).
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        N = sum(k * q for k, q in shape)
+        basis = planted_basis(shape, haar_unitary(rng, N))
+        coeffs = rng.standard_normal((count, len(basis))) + 1j * rng.standard_normal(
+            (count, len(basis))
+        )
+        return list(np.tensordot(coeffs, basis, axes=1))
+    if kind == "pauli":
+        return [random_class(rng, *shape).to_dense() for _ in range(count)]
+    u = haar_unitary(rng, shape)
+    gens = []
+    for _ in range(count):
+        t = np.triu(rng.standard_normal((shape, shape)) + 1j * rng.standard_normal((shape, shape)), 1)
+        t[rng.random((shape, shape)) < 0.6] = 0
+        gens.append(u @ t @ u.conj().T)
+    return gens
+
+
+@st.composite
+def closure_generators(draw):
+    kind = draw(st.sampled_from(["planted", "pauli", "nonnormal"]))
+    shape = draw(
+        {
+            "planted": PLANTED_BLOCKS,
+            "pauli": st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]),
+            "nonnormal": st.integers(2, 8),
+        }[kind]
+    )
+    count = draw(st.integers(1, 5 if kind == "pauli" else 3))
+    return closure_case(kind, draw(st.integers(0, 2**32 - 1)), count, shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(closure_generators())
+@example(closure_case("pauli", 0, 8, (2, 4)))  # a 128-dimensional algebra in M_16
+@example(closure_case("pauli", 1, 2, (3, 2)))
+@example(closure_case("planted", 2, 1, [(1, 4), (3, 2), (2, 1)]))
+@example(closure_case("planted", 3, 2, [(4, 4)]))
+@example(closure_case("nonnormal", 4, 2, 8))
+def test_property_spinning_matches_product_closure(gens):
+    alg = span_closure(gens)
+    ref = product_closure(gens)
+    assert alg.dim == len(ref)
+    proj = alg.rows().conj().T @ alg.rows()
+    assert np.abs(proj - ref.conj().T @ ref).max() <= 1e-8
+
+
+def test_span_closure_needs_adjoint_multipliers():
+    # left products of E_12 alone stop at span{I, E_12}; E_21 = E_12^dag is needed
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    alg = span_closure([e12])
+    assert alg.dim == 4
+    alg.verify()
+
+
+def test_span_closure_candidates_per_element(monkeypatch):
+    # spinning multiplies each new element by at most 2 (#gens + 1) operators
+    import paulipriv.algebra as algebra_module
+
+    real = algebra_module._append_independent
+    rng = np.random.default_rng(107)
+    basis = planted_basis(((2, 3), (3, 2)), haar_unitary(rng, 12))
+    cases = [
+        [np.array([[0, 1], [0, 0]], dtype=complex)],
+        [dense(s) for s in ("II", "IX", "YY", "YZ")],
+        [dense("XIZ"), dense("ZYI"), dense("IXX")],
+        list(np.tensordot(rng.standard_normal((2, len(basis))), basis, axes=1)),
+    ]
+    for gens in cases:
+        rows = []
+
+        def counting(stack, cands, rtol=1e-9):
+            if stack is not None:  # products, not the initial span{I, gens}
+                rows.append(len(cands))
+            return real(stack, cands, rtol)
+
+        monkeypatch.setattr(algebra_module, "_append_independent", counting)
+        alg = span_closure(gens)
+        assert sum(rows) <= 2 * (len(gens) + 1) * alg.dim
+
+
+def test_span_closure_rejects_mismatched_N():
+    with pytest.raises(PreconditionError):
+        span_closure([np.eye(2)], N=3)
+    with pytest.raises(PreconditionError):
+        span_closure([np.eye(2), np.eye(3)])
+    with pytest.raises(PreconditionError):
+        span_closure([], N=0)
+    assert span_closure([np.eye(2)], N=2).N == 2
+    assert span_closure([], N=3).dim == 1
+
+
 def test_span_not_closed_under_products_never_returns():
     # XI and ZZ anticommute, so XI ZZ lies outside span{II, XI, ZZ}
     not_closed = OperatorAlgebra(np.array([dense(s) / 2 for s in ("II", "XI", "ZZ")]))
@@ -241,47 +342,6 @@ def test_span_not_closed_under_products_never_returns():
         structure_type(not_closed)
     with pytest.raises(NumericalAmbiguityError):
         commutant(not_closed)
-
-
-def test_simdiag_already_diagonal_gives_permutation():
-    ops = [np.diag([3.0, 1.0, 2.0]), np.diag([0.0, 5.0, 5.0])]
-    u = simultaneous_diagonalize(ops)
-    assert np.allclose(np.abs(u), np.abs(u).round(), atol=1e-12)
-    assert (np.abs(u).round() == np.abs(u)).all()
-    assert ((np.abs(u) == 1).sum(axis=0) == 1).all()
-    for op in ops:
-        d = u @ op @ u.conj().T
-        assert np.abs(d - np.diag(np.diag(d))).max() < 1e-10
-
-
-def test_simdiag_single_z_identity():
-    u = simultaneous_diagonalize([Z2])
-    assert np.abs(u - np.eye(2)).max() < 1e-12
-
-
-def test_simdiag_two_site_x():
-    ops = [dense("XI"), dense("IX")]
-    u = simultaneous_diagonalize(ops)
-    for op in ops:
-        d = u @ op @ u.conj().T
-        assert np.abs(d - np.diag(np.diag(d))).max() < 1e-8
-
-
-def test_simdiag_handles_normal_non_hermitian():
-    xz = X2 @ Z2  # eigenvalues +-i
-    u = simultaneous_diagonalize([xz])
-    d = u @ xz @ u.conj().T
-    assert np.abs(d - np.diag(np.diag(d))).max() < 1e-10
-
-
-def test_simdiag_rejects_noncommuting():
-    with pytest.raises(PreconditionError):
-        simultaneous_diagonalize([X2, Z2])
-
-
-def test_simdiag_rejects_nonnormal():
-    with pytest.raises(PreconditionError):
-        simultaneous_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
 def test_left_regular_trace_identity():
@@ -424,6 +484,22 @@ def test_superoperator_consistent_with_apply():
     s = superoperator(phi)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.abs((s @ x.reshape(-1)).reshape(4, 4) - apply_channel(phi, x)).max() < 1e-12
+
+
+def random_kraus_channel(rng, m, n):
+    """A channel with m generic non-hermitian Kraus operators on C^n."""
+    g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    w, v = np.linalg.eigh(np.einsum("kba,kbc->ac", g.conj(), g))
+    return Channel(g @ (v / np.sqrt(w)) @ v.conj().T)
+
+
+def test_superoperator_matches_kron_sum():
+    rng = np.random.default_rng(106)
+    for m in range(1, 6):
+        for n in range(1, 7):
+            phi = random_kraus_channel(rng, m, n)
+            ref = sum(np.kron(k, k.conj()) for k in phi.kraus)
+            assert np.abs(superoperator(phi) - ref).max() <= 1e-13
 
 
 def test_dimension_identity_random_n2_n3():

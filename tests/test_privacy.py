@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from paulipriv import (
     Channel,
+    OperatorAlgebra,
     PreconditionError,
     annihilator,
     apply_channel,
@@ -15,6 +16,7 @@ from paulipriv import (
     check_privatized_algebra,
     check_privatized_subgroup,
     close,
+    commutant,
     conditional_expectation,
     diagonal_algebra,
     full_matrix_algebra,
@@ -28,7 +30,13 @@ from paulipriv import (
     structure_type,
     subgroup_algebra,
 )
-from helpers import random_abelian_subgroup, random_class, random_subgroup
+from helpers import (
+    haar_unitary,
+    planted_basis,
+    random_abelian_subgroup,
+    random_class,
+    random_subgroup,
+)
 
 
 def dense(s, d=2):
@@ -103,6 +111,43 @@ def test_condition_suite_agreement_random_corpus():
         b = subgroup_algebra(random_subgroup(rng, 2, 2))
         report = quasiorth_condition_suite(a, b)
         assert report.consistent, (report.deviations,)
+
+
+def condition3_oracle(A, B):
+    """Condition (3) by applying each conditional expectation to each basis element."""
+    eye = np.eye(A.N)
+    dev = 0.0
+    for X, Y in ((A, B), (B, A)):
+        phi = conditional_expectation(X)
+        for y in Y.basis:
+            dev = max(dev, np.abs(apply_channel(phi, y) - np.trace(y) / A.N * eye).max())
+    return dev
+
+
+def test_condition3_matches_apply_channel_oracle():
+    rng = np.random.default_rng(50)
+    first_qubit = span_closure([dense(s) for s in ("II", "XI", "YI", "ZI")])
+    pairs = [
+        (full_matrix_algebra(3), scalar_algebra(3)),
+        (diagonal_algebra(4), motivating_algebra()),
+        (first_qubit, first_qubit),
+    ]
+    for _ in range(20):
+        pairs.append((subgroup_algebra(random_subgroup(rng, 2, 2)),
+                      subgroup_algebra(random_subgroup(rng, 2, 2))))
+    for a, b in pairs:
+        report = quasiorth_condition_suite(a, b)
+        assert abs(report.deviations[2] - condition3_oracle(a, b)) <= 1e-12
+
+
+def test_condition_suite_planted_pair_not_quasiorthogonal():
+    # a planted algebra with two blocks and its commutant share the block
+    # projections, so they are not quasiorthogonal
+    rng = np.random.default_rng(51)
+    alg = OperatorAlgebra(planted_basis(((1, 2), (2, 1)), haar_unitary(rng, 4)))
+    report = quasiorth_condition_suite(alg, commutant(alg))
+    assert report.verdicts == (False, False, False, False)
+    assert abs(report.deviations[2] - condition3_oracle(alg, commutant(alg))) <= 1e-12
 
 
 def test_condexp_privatizes_iff_quasiorthogonal():
