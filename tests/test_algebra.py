@@ -255,9 +255,9 @@ def closure_case(kind, seed, count, shape):
     u = haar_unitary(rng, shape)
     gens = []
     for _ in range(count):
-        t = np.triu(rng.standard_normal((shape, shape)) + 1j * rng.standard_normal((shape, shape)), 1)
+        t = rng.standard_normal((shape, shape)) + 1j * rng.standard_normal((shape, shape))
         t[rng.random((shape, shape)) < 0.6] = 0
-        gens.append(u @ t @ u.conj().T)
+        gens.append(u @ np.triu(t, 1) @ u.conj().T)
     return gens
 
 
