@@ -4,7 +4,8 @@ For a maximal Abelian subgroup G on n qubits (size 2^n), the equally
 weighted group channel privatizes floor(n/2) qubits: pair each generator g_j
 of G with a symplectic partner h_j, form the encoded qubits h_{2i} and
 h_{2i-1} h_{2i} g_{2i-1} g_{2i}, take the span of the Pauli subgroup they
-generate, and certify it densely.  For a non-maximal subgroup of size 2^k
+generate, and certify it from integers: span H is private exactly when H
+meets Ann G only in the identity.  For a non-maximal subgroup of size 2^k
 the same works with floor(k/2) qubits.
 """
 
@@ -13,12 +14,14 @@ import numpy as np
 from paulipriv import (
     annihilator,
     close,
-    encoded_qubit_generators,
+    diagonal_subgroup,
+    encoded_subgroup,
     max_private_qubits,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
     structure_type,
 )
+from paulipriv.groups import generating_set
 
 
 def random_maximal(rng, n):
@@ -29,11 +32,12 @@ def random_maximal(rng, n):
     return group
 
 
-print("== the encoded qubit generators ==")
+print("== the encoded subgroup of the diagonal group ==")
 for n in (2, 4, 5):
-    enc = encoded_qubit_generators(n)
-    pairs = ", ".join(f"({x}, {y})" for x, y in enc.pairs)
-    print(f"n = {n}: {max_private_qubits(n)} encoded qubits via {pairs}")
+    H = encoded_subgroup(diagonal_subgroup(2, n))
+    gens = ", ".join(str(c) for c in generating_set(H))
+    print(f"n = {n}: {max_private_qubits(n)} encoded qubits, |H| = {len(H)}, "
+          f"generated by {gens}")
 
 print("\n== random maximal Abelian subgroups, n = 2..5 ==")
 rng = np.random.default_rng(12)

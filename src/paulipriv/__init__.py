@@ -25,10 +25,8 @@ from .algebra import (
     structure_type,
 )
 from .constructions import (
-    EncodedQubitAlgebra,
     TwoQutritReport,
     channel_from_subgroup,
-    encoded_qubit_generators,
     max_private_qubits,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
@@ -45,6 +43,7 @@ from .groups import (
     character_matrix,
     close,
     diagonal_subgroup,
+    encoded_subgroup,
     extend_to_maximal,
     is_abelian,
 )

@@ -84,7 +84,6 @@ class OperatorAlgebra:
     """
 
     basis: np.ndarray
-    unital: bool = True
 
     def __post_init__(self):
         arr = np.array(self.basis, dtype=complex)

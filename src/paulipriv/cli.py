@@ -35,7 +35,6 @@ from .constructions import (
     channel_from_subgroup,
     phase_flip_demo,
     private_algebra_for_abelian,
-    private_algebra_for_max_abelian,
     subgroup_algebra,
     two_qutrit_demo,
 )
@@ -301,10 +300,7 @@ def _cmd_privacy(args) -> int:
             if not args.group:
                 raise PreconditionError("--construct needs --group")
             K = close(_parse_gens(args.group, args.d))
-            if len(K) == 2**K.n:
-                alg, cert = private_algebra_for_max_abelian(K)
-            else:
-                alg, cert = private_algebra_for_abelian(K)
+            alg, cert = private_algebra_for_abelian(K)
             phi = channel_from_subgroup(K)
             cert_hashes = {
                 "channel": serialize.sha256_of_array(phi.kraus),

@@ -1,14 +1,13 @@
 """Explicit private-subsystem constructions for Abelian Pauli subgroups.
 
-The pipelines turn an Abelian subgroup K = <g_1, ..., g_k> of the n-qubit
+The pipeline turns an Abelian subgroup K = <g_1, ..., g_k> of the n-qubit
 class group into a channel (equally weighted class representatives as Kraus
-operators) plus a certified private algebra.  Symplectic partners h_j of the
-g_j play the role of X_j in a Clifford frame where g_j is Z_j, so the encoded
-qubits of that frame (X at site 2i, Y at sites 2i-1 and 2i) are the classes
-h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i}.  The private algebra is the span
-of the subgroup H they generate: every non-identity class of H anticommutes
-with some g_j, so the group channel sends it to zero, which is exactly why
-span H is privatized.  Maximal K (k = n) and general K (k < n) are alike.
+operators) plus a certified private algebra: the span of the subgroup H of
+:func:`~paulipriv.groups.encoded_subgroup`, generated by the encoded qubits
+h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i} built from symplectic partners h_j
+of the g_j.  Every non-identity class of H anticommutes with some g_j, so the
+group channel sends it to zero, which is exactly why span H is privatized.
+A maximal K is the case k = n of the same construction.
 
 The pipeline's certificate is read off the intersection of H and Ann K by
 :func:`~paulipriv.privacy.check_privatized_subgroup`, with no dense channel;
@@ -33,7 +32,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, _howell, _partner_rows, close, is_abelian
+from .groups import PauliSubgroup, close, encoded_subgroup, is_abelian
 from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
 from .privacy import (
     PrivacyCertificate,
@@ -50,10 +49,8 @@ _INTEGER_ROUTE = (
 )
 
 __all__ = [
-    "EncodedQubitAlgebra",
     "TwoQutritReport",
     "channel_from_subgroup",
-    "encoded_qubit_generators",
     "max_private_qubits",
     "private_algebra_for_abelian",
     "private_algebra_for_max_abelian",
@@ -63,41 +60,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EncodedQubitAlgebra:
-    """Generator pairs and realized algebra for floor(n/2) encoded qubits.
-
-    ``pairs[i]`` holds the X-type and Y-type generators of encoded qubit i+1;
-    ``algebra`` is the span of the subgroup of classes they generate.
-    """
-
-    n: int
-    pairs: tuple[tuple[PauliElement, PauliElement], ...]
-    algebra: OperatorAlgebra
-
-
-def encoded_qubit_generators(n: int) -> EncodedQubitAlgebra:
-    """X/Y generator pairs on n qubit sites, one pair per encoded qubit.
-
-    Encoded qubit i (1-based) uses X at site 2i and Y at sites 2i-1 and 2i.
-    Requires n >= 2.
-    """
-    if n < 2:
-        raise PreconditionError(f"encoded qubits need n >= 2 sites, got n={n}")
-    pairs = []
-    for i in range(n // 2):
-        x = tuple(int(j == 2 * i + 1) for j in range(n))
-        yy = tuple(int(j // 2 == i) for j in range(n))
-        # Y(x)Y = (i XZ)(x)(i XZ) carries phase i*i
-        pairs.append((PauliElement(2, n, 0, x, (0,) * n), PauliElement(2, n, 2, yy, yy)))
-    algebra = subgroup_algebra(close([p for pair in pairs for p in pair]))
-    return EncodedQubitAlgebra(n=n, pairs=tuple(pairs), algebra=algebra)
-
-
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
     """The span of a subgroup's class representatives as an operator algebra."""
     n_dim = K.d**K.n
-    _require_dense(len(K), n_dim, "the subgroup's dense class representatives",
+    _require_dense(K._size, n_dim, "the subgroup's dense class representatives",
                    _INTEGER_ROUTE)
     return OperatorAlgebra(dense_paulis(K.d, *K.xz_arrays()) / math.sqrt(n_dim))
 
@@ -113,7 +79,7 @@ def channel_from_subgroup(G: PauliSubgroup) -> Channel:
             "channel_from_subgroup requires an Abelian subgroup; "
             "the given subgroup has non-commuting elements"
         )
-    _require_dense(len(G), G.d**G.n, "the subgroup's dense Kraus operators",
+    _require_dense(G._size, G.d**G.n, "the subgroup's dense Kraus operators",
                    _INTEGER_ROUTE)
     scale = 1.0 / math.sqrt(len(G))
     return Channel(dense_paulis(G.d, *G.xz_arrays()) * scale)
@@ -126,16 +92,17 @@ def max_private_qubits(n: int) -> int:
     return n // 2
 
 
-def _private_pipeline(K: PauliSubgroup) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    g, h = K._gens, _partner_rows(K._gens, 2)
-    # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
-    encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]]) % 2
-    H = PauliSubgroup._from_howell(2, K.n, *_howell(encoded, 2))
+def private_algebra_for_abelian(
+    K: PauliSubgroup,
+) -> tuple[OperatorAlgebra, PrivacyCertificate]:
+    """Certified private algebra of floor(k/2) qubits for Abelian K of size 2^k."""
+    H = encoded_subgroup(K)
+    qubits = len(H).bit_length() // 2  # |H| = 4^qubits
     cert = check_privatized_subgroup(
         K,
         H,
         channel_description=f"group channel, {len(K)} Kraus operators on {2**K.n} dims",
-        subject_description=f"encoded Pauli subgroup algebra, {len(g) // 2} qubits",
+        subject_description=f"encoded Pauli subgroup algebra, {qubits} qubits",
     )
     return subgroup_algebra(H), cert
 
@@ -144,26 +111,11 @@ def private_algebra_for_max_abelian(
     G: PauliSubgroup,
 ) -> tuple[OperatorAlgebra, PrivacyCertificate]:
     """Certified private algebra of floor(n/2) qubits for a maximal Abelian G."""
-    if G.d != 2:
-        raise PreconditionError("the qubit pipeline requires d = 2")
-    if not is_abelian(G):
-        raise PreconditionError("subgroup must be Abelian")
-    if len(G) != 2**G.n:
+    if G._size != G.d**G.n:  # len() overflows above 2^63 elements
         raise PreconditionError(
-            f"subgroup of size {len(G)} is not maximal on {G.n} qubits"
+            f"subgroup of size {G._size} is not maximal on {G.n} sites"
         )
-    return _private_pipeline(G)
-
-
-def private_algebra_for_abelian(
-    K: PauliSubgroup,
-) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    """Certified private algebra of floor(k/2) qubits for Abelian K of size 2^k."""
-    if K.d != 2:
-        raise PreconditionError("the qubit pipeline requires d = 2")
-    if not is_abelian(K):
-        raise PreconditionError("subgroup must be Abelian")
-    return _private_pipeline(K)
+    return private_algebra_for_abelian(G)
 
 
 def quasiorthogonal_to_diagonal(A: OperatorAlgebra) -> bool:
@@ -269,11 +221,8 @@ def two_qutrit_demo(perturb: bool = False) -> TwoQutritReport:
         [site(1, 2), site(0, 1), site(2, 0)],
         [site(2, 1), site(1, 0), site(0, 2)],
     ]
-    u_raw = np.block(grid)
-    scale = 1.0
-    if np.abs(u_raw @ u_raw.conj().T - np.eye(9)).max() > 1e-9:
-        scale = 1.0 / math.sqrt(3)
-    u = scale * u_raw
+    scale = 1 / math.sqrt(3)  # each row of the block grid has norm sqrt(3)
+    u = scale * np.block(grid)
     unitary_dev = float(np.abs(u @ u.conj().T - np.eye(9)).max())
 
     eye3 = np.eye(3, dtype=complex)

@@ -28,6 +28,7 @@ __all__ = [
     "character_matrix",
     "close",
     "diagonal_subgroup",
+    "encoded_subgroup",
     "extend_to_maximal",
     "generating_set",
     "is_abelian",
@@ -176,13 +177,13 @@ class PauliSubgroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSubgroup):
             return NotImplemented
-        return len(self) == len(other) and self.issubset(other)
+        return self._size == other._size and self.issubset(other)
 
     def __hash__(self) -> int:
-        return hash((self.d, self.n, len(self)))
+        return hash((self.d, self.n, self._size))
 
     def __repr__(self) -> str:
-        return f"PauliSubgroup(d={self.d}, n={self.n}, size={len(self)})"
+        return f"PauliSubgroup(d={self.d}, n={self.n}, size={self._size})"
 
     def xz_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponent vectors of all elements as integer arrays of shape (m, n)."""
@@ -318,6 +319,27 @@ def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
     d, n = K.d, K.n
     h = _partner_rows(K._gens, d).tolist()
     return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h]
+
+
+def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
+    """The subgroup H of the floor(k/2) encoded qubits of a qubit Abelian K of size 2^k.
+
+    With g = generating_set(K) and h = symplectic_partners(K), so that h_j is
+    X_j in a Clifford frame where g_j is Z_j, encoded qubit i is generated by
+    h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i}: X at site 2i and Y at sites
+    2i-1 and 2i of that frame.  Every non-identity class of H anticommutes with
+    some g_j, so H meets Ann K only in the identity and the group channel of K
+    privatizes span H = M_{2^floor(k/2)} (x) I.  For the diagonal group the
+    pairs are X_{2i} and Y_{2i-1} Y_{2i} themselves.
+    """
+    if K.d != 2:
+        raise PreconditionError("the qubit pipeline requires d = 2")
+    if not is_abelian(K):
+        raise PreconditionError("subgroup must be Abelian")
+    g, h = K._gens, _partner_rows(K._gens, 2)
+    # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
+    encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]])
+    return PauliSubgroup._from_howell(2, K.n, *_howell(encoded, 2))
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:

@@ -15,7 +15,7 @@ from paulipriv import (
     close,
     commutant,
     diagonal_subgroup,
-    encoded_qubit_generators,
+    encoded_subgroup,
     full_matrix_algebra,
     is_quasiorthogonal,
     kraus_mutually_commuting,
@@ -33,6 +33,7 @@ from paulipriv import (
 )
 from paulipriv import Channel
 from paulipriv.cli import _algebra_from_arg
+from paulipriv.groups import generating_set
 from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
 
 
@@ -44,28 +45,25 @@ def cls(s, d=2):
     return parse_pauli(s, d=d).pauli_class()
 
 
-def test_encoded_generators_n2():
-    enc = encoded_qubit_generators(2)
-    assert len(enc.pairs) == 1
-    xhat, yhat = enc.pairs[0]
-    assert np.abs(xhat.to_dense() - dense("IX")).max() < 1e-14
-    assert np.abs(yhat.to_dense() - dense("YY")).max() < 1e-14
+def encoded_diagonal(n):
+    """The encoded subgroup of the diagonal group on n qubits."""
+    return encoded_subgroup(diagonal_subgroup(2, n))
 
 
-def test_encoded_generators_n3():
-    enc = encoded_qubit_generators(3)
-    assert len(enc.pairs) == 1
-    xhat, yhat = enc.pairs[0]
-    assert xhat.to_string() == "IXI"
-    assert yhat.to_string() == "YYI"
+def oracle_pairs(n):
+    """X_{2i} and Y_{2i-1} Y_{2i} for each encoded qubit i, as strings."""
+    def put(sites):
+        return "".join(sites.get(j, "I") for j in range(n))
+    return [put(s) for i in range(n // 2)
+            for s in ({2 * i + 1: "X"}, {2 * i: "Y", 2 * i + 1: "Y"})]
 
 
-def test_encoded_generators_n4_second_pair():
-    enc = encoded_qubit_generators(4)
-    assert len(enc.pairs) == 2
-    xhat, yhat = enc.pairs[1]
-    assert xhat.to_string() == "IIIX"
-    assert yhat.to_string() == "IIYY"
+@pytest.mark.parametrize("n", range(2, 8))
+def test_encoded_subgroup_of_diagonal_group_is_the_x_yy_pairs(n):
+    oracle = close([cls(s) for s in oracle_pairs(n)], d=2, n=n)
+    H = encoded_diagonal(n)
+    assert len(H) == 4 ** (n // 2)
+    assert np.array_equal(H.rows, oracle.rows)
 
 
 def same_span(a, b):
@@ -74,10 +72,10 @@ def same_span(a, b):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_encoded_algebra_matches_dense_span_closure(n):
-    enc = encoded_qubit_generators(n)
-    dense_alg = span_closure([p.to_dense() for pair in enc.pairs for p in pair])
-    assert enc.algebra.dim == 4 ** (n // 2)
-    assert same_span(enc.algebra, dense_alg)
+    alg = subgroup_algebra(encoded_diagonal(n))
+    dense_alg = span_closure([dense(s) for s in oracle_pairs(n)])
+    assert alg.dim == 4 ** (n // 2)
+    assert same_span(alg, dense_alg)
 
 
 @pytest.mark.parametrize("d, text", [
@@ -92,30 +90,21 @@ def test_cli_pauli_list_algebra_matches_dense_span_closure(d, text):
     assert same_span(alg, dense_alg)
 
 
-def test_encoded_generators_rejects_small_n():
-    with pytest.raises(PreconditionError):
-        encoded_qubit_generators(1)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_encoded_pair_commutation(n):
-    enc = encoded_qubit_generators(n)
-    for i, (xi, yi) in enumerate(enc.pairs):
-        dx, dy = xi.to_dense(), yi.to_dense()
-        assert np.abs(dx @ dy + dy @ dx).max() < 1e-12  # same pair anticommutes
-        for j, (xj, yj) in enumerate(enc.pairs):
-            if i == j:
-                continue
-            for a in (dx, dy):
-                for b in (xj.to_dense(), yj.to_dense()):
-                    assert np.abs(a @ b - b @ a).max() < 1e-12
+    # the Howell generators of H come in encoded pairs (Y_{2i-1} Y_{2i}, X_{2i})
+    gens = [c.to_dense() for c in generating_set(encoded_diagonal(n))]
+    assert len(gens) == 2 * (n // 2)
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            sign = -1 if i != j and i // 2 == j // 2 else 1
+            assert np.abs(a @ b - sign * b @ a).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_encoded_algebra_has_no_diagonal_elements(n):
-    enc = encoded_qubit_generators(n)
     eye = np.eye(2**n) / np.sqrt(2**n)
-    for b in enc.algebra.basis:
+    for b in subgroup_algebra(encoded_diagonal(n)).basis:
         traceless = b - np.vdot(eye, b) * eye
         if np.abs(traceless).max() < 1e-12:
             continue  # the identity direction
@@ -192,7 +181,7 @@ def test_max_pipeline_structure_n5():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_encoded_algebra_blocks_and_commutant_at_n6_n7(n):
-    alg = encoded_qubit_generators(n).algebra
+    alg = subgroup_algebra(encoded_diagonal(n))
     st, _ = structure_type(alg)
     assert st.blocks == ((2 ** (n - n // 2), 2 ** (n // 2)),)
     assert commutant(alg).dim == 4 ** (n - n // 2)
@@ -203,6 +192,25 @@ def test_max_pipeline_preconditions():
         private_algebra_for_max_abelian(close([cls("ZI")]))  # not maximal
     with pytest.raises(PreconditionError):
         private_algebra_for_max_abelian(close([cls("X1Z1:I", 3)]))  # d != 2
+    with pytest.raises(PreconditionError, match="d = 2"):
+        private_algebra_for_max_abelian(diagonal_subgroup(3, 2))  # maximal, d != 2
+    with pytest.raises(PreconditionError, match="Abelian"):
+        private_algebra_for_max_abelian(close([cls("XI"), cls("ZI")]))  # size 4, not Abelian
+
+
+def test_pipeline_refuses_a_group_above_the_len_limit_by_its_size_bound():
+    n = 64  # |K| = 2^64 does not fit len(); nothing is enumerated
+    zs = [PauliClass(2, n, (0,) * n, tuple(int(j == i) for j in range(n))) for i in range(n)]
+    K = close(zs, max_size=2**n)
+    assert K == K and K == close(zs[::-1], max_size=2**n)
+    assert K != close(zs[1:], max_size=2**n)
+    assert hash(K) == hash(close(zs[::-1], max_size=2**n))
+    for pipeline in (private_algebra_for_abelian, private_algebra_for_max_abelian):
+        with pytest.raises(PreconditionError, match="above the bound"):
+            pipeline(K)
+    for build in (subgroup_algebra, channel_from_subgroup):
+        with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+            build(K)
 
 
 def test_general_pipeline_k1_scalar():
