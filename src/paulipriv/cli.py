@@ -49,7 +49,6 @@ from .groups import (
 from .pauli import parse_pauli
 from .privacy import (
     check_privatized_algebra,
-    is_quasiorthogonal,
     quasiorth_condition_suite,
 )
 
@@ -204,8 +203,8 @@ def _cmd_group(args) -> int:
     K = _group_from_args(args)
     if args.action == "abelian":
         verdict = is_abelian(K)
-        _emit(args, {"abelian": verdict, "size": len(K)},
-              [f"abelian: {verdict} (size {len(K)})"])
+        _emit(args, {"abelian": verdict, "size": K.order},
+              [f"abelian: {verdict} (size {K.order})"])
         return 0 if verdict else 1
     if args.action == "annihilator":
         K = annihilator(K)
@@ -216,7 +215,7 @@ def _cmd_group(args) -> int:
     payload = {
         "d": K.d,
         "n": K.n,
-        "size": len(K),
+        "size": K.order,
         "elements": [c.to_string() for c in K],
     }
     _emit(args, payload, serialize.subgroup_to_text(K).splitlines())

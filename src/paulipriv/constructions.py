@@ -63,7 +63,7 @@ __all__ = [
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
     """The span of a subgroup's class representatives as an operator algebra."""
     n_dim = K.d**K.n
-    _require_dense(K._size, n_dim, "the subgroup's dense class representatives",
+    _require_dense(K.order, n_dim, "the subgroup's dense class representatives",
                    _INTEGER_ROUTE)
     return OperatorAlgebra(dense_paulis(K.d, *K.xz_arrays()) / math.sqrt(n_dim))
 
@@ -79,9 +79,9 @@ def channel_from_subgroup(G: PauliSubgroup) -> Channel:
             "channel_from_subgroup requires an Abelian subgroup; "
             "the given subgroup has non-commuting elements"
         )
-    _require_dense(G._size, G.d**G.n, "the subgroup's dense Kraus operators",
+    _require_dense(G.order, G.d**G.n, "the subgroup's dense Kraus operators",
                    _INTEGER_ROUTE)
-    scale = 1.0 / math.sqrt(len(G))
+    scale = 1.0 / math.sqrt(G.order)
     return Channel(dense_paulis(G.d, *G.xz_arrays()) * scale)
 
 
@@ -97,11 +97,11 @@ def private_algebra_for_abelian(
 ) -> tuple[OperatorAlgebra, PrivacyCertificate]:
     """Certified private algebra of floor(k/2) qubits for Abelian K of size 2^k."""
     H = encoded_subgroup(K)
-    qubits = len(H).bit_length() // 2  # |H| = 4^qubits
+    qubits = H.order.bit_length() // 2  # |H| = 4^qubits
     cert = check_privatized_subgroup(
         K,
         H,
-        channel_description=f"group channel, {len(K)} Kraus operators on {2**K.n} dims",
+        channel_description=f"group channel, {K.order} Kraus operators on {2**K.n} dims",
         subject_description=f"encoded Pauli subgroup algebra, {qubits} qubits",
     )
     return subgroup_algebra(H), cert
@@ -111,9 +111,9 @@ def private_algebra_for_max_abelian(
     G: PauliSubgroup,
 ) -> tuple[OperatorAlgebra, PrivacyCertificate]:
     """Certified private algebra of floor(n/2) qubits for a maximal Abelian G."""
-    if G._size != G.d**G.n:  # len() overflows above 2^63 elements
+    if G.order != G.d**G.n:
         raise PreconditionError(
-            f"subgroup of size {G._size} is not maximal on {G.n} sites"
+            f"subgroup of size {G.order} is not maximal on {G.n} sites"
         )
     return private_algebra_for_abelian(G)
 

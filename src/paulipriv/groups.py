@@ -4,8 +4,10 @@ The quotient of the n-site Pauli group by its phase center is the additive
 group Z_d^{2n} in (x, z) coordinates, so subgroups, annihilators and maximal
 Abelian extensions are integer linear algebra over Z_d.  One code path serves
 every d >= 2, prime or composite: a subgroup is held as the Howell form of its
-generator rows, and its elements are enumerated from those rows, never found
-by scanning P_n.  Dense matrices appear only in tests and in downstream
+generator rows, which give its exact order.  Its elements are enumerated from
+those rows only on demand, never found by scanning P_n, and enumeration alone
+is bounded (10^6 elements), so groups of any order are built, compared and
+solved without it.  Dense matrices appear only in tests and in downstream
 modules.
 """
 
@@ -35,12 +37,13 @@ __all__ = [
     "symplectic_partners",
 ]
 
-_DEFAULT_MAX_SIZE = 10**6
+_MAX_ELEMENTS = 10**6  # elements enumerated per group
+_MAX_CHARACTER_SIDE = 10**4
 
 
-def all_classes(d: int, n: int, max_count: int = _DEFAULT_MAX_SIZE) -> list[PauliClass]:
+def all_classes(d: int, n: int) -> list[PauliClass]:
     """Every class of P_n in canonical order (per-site (z, x), site n slow)."""
-    return list(annihilator(close((), d=d, n=n), max_count))
+    return list(annihilator(close((), d=d, n=n)))
 
 
 def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -109,39 +112,31 @@ def _class_rows(classes, n: int) -> np.ndarray:
 class PauliSubgroup:
     """A multiplicatively closed set of Pauli classes, canonically ordered.
 
-    The group is held as the Howell form of its generator rows.  Its elements
-    are enumerated from those rows on first use into one array of (x | z) rows,
-    in canonical class order and in the smallest unsigned dtype that holds
-    2(d - 1) (uint8 for d <= 128).  PauliClass objects are made only when the
-    group is iterated or its ``elements`` are read.
+    The group is exactly the Howell form of its generator rows, built by
+    :func:`close`, :func:`annihilator` and the other functions of this module.
+    ``order`` is its exact number of elements, a Python int of any size.  The
+    elements are enumerated from the rows on first use into one array of
+    (x | z) rows, in canonical class order and in the smallest unsigned dtype
+    that holds 2(d - 1) (uint8 for d <= 128); that enumeration, and so
+    iteration, ``elements`` and ``xz_arrays``, is refused above 10^6 elements.
+    PauliClass objects are made only when the group is iterated or its
+    ``elements`` are read.
     """
 
-    def __init__(self, d: int, n: int, elements):
-        elements = tuple(elements)
-        if not any(c.is_identity for c in elements):
-            raise PreconditionError("a subgroup must contain the identity class")
-        if any(c.d != d or c.n != n for c in elements):
-            raise PreconditionError("subgroup elements on mismatched spaces")
-        rows = _class_rows(elements, n)
-        self._set(d, n, *_howell(rows, d))
-        if len(np.unique(rows, axis=0)) != len(self):
-            raise PreconditionError("subgroup elements are not closed under products")
-
-    def _set(self, d, n, gens, pivots):
-        self.d, self.n, self._gens, self._pivots = d, n, gens, pivots
-        self._size = math.prod(d // int(h[c]) for h, c in zip(gens, pivots))
-
     @classmethod
-    def _from_howell(cls, d, n, gens, pivots, max_size=_DEFAULT_MAX_SIZE):
+    def _from_howell(cls, d, n, gens, pivots):
         K = cls.__new__(cls)
-        K._set(d, n, gens, pivots)
-        if K._size > max_size:
-            raise PreconditionError(f"{K._size} elements, above the bound {max_size}")
+        K.d, K.n, K._gens, K._pivots = d, n, gens, pivots
+        K.order = math.prod(d // int(h[c]) for h, c in zip(gens, pivots))
         return K
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Read-only (x | z) exponent rows of all elements, canonical order."""
+        if self.order > _MAX_ELEMENTS:
+            raise PreconditionError(
+                f"{self.order} elements, above the bound {_MAX_ELEMENTS} on enumeration"
+            )
         d, n, width = self.d, self.n, 2 * self.n
         dtype = np.min_scalar_type(2 * (d - 1))
         out = np.zeros((1, width), dtype=dtype)
@@ -159,7 +154,7 @@ class PauliSubgroup:
         return tuple(self)
 
     def __len__(self) -> int:
-        return self._size
+        return self.order
 
     def __iter__(self):
         d, n = self.d, self.n
@@ -177,13 +172,13 @@ class PauliSubgroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSubgroup):
             return NotImplemented
-        return self._size == other._size and self.issubset(other)
+        return self.order == other.order and self.issubset(other)
 
     def __hash__(self) -> int:
-        return hash((self.d, self.n, self._size))
+        return hash((self.d, self.n, self.order))
 
     def __repr__(self) -> str:
-        return f"PauliSubgroup(d={self.d}, n={self.n}, size={self._size})"
+        return f"PauliSubgroup(d={self.d}, n={self.n}, size={self.order})"
 
     def xz_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponent vectors of all elements as integer arrays of shape (m, n)."""
@@ -191,13 +186,7 @@ class PauliSubgroup:
         return rows[:, : self.n], rows[:, self.n :]
 
 
-def close(
-    generators=(),
-    *,
-    d: int | None = None,
-    n: int | None = None,
-    max_size: int = _DEFAULT_MAX_SIZE,
-) -> PauliSubgroup:
+def close(generators=(), *, d: int | None = None, n: int | None = None) -> PauliSubgroup:
     """Smallest subgroup of P_n containing the given classes.
 
     ``d`` and ``n`` are inferred from the generators when present; for an
@@ -213,7 +202,7 @@ def close(
         raise PreconditionError("close() with no generators needs explicit d and n")
     else:
         PauliClass.identity(d, n)  # raises unless d >= 2 and n >= 1
-    return PauliSubgroup._from_howell(d, n, *_howell(_class_rows(gens, n), d), max_size)
+    return PauliSubgroup._from_howell(d, n, *_howell(_class_rows(gens, n), d))
 
 
 def generating_set(K: PauliSubgroup) -> list[PauliClass]:
@@ -262,27 +251,26 @@ class CharacterMatrix:
         return len(self.classes)
 
 
-def character_matrix(d: int, n: int, max_side: int = 10**4) -> CharacterMatrix:
+def character_matrix(d: int, n: int) -> CharacterMatrix:
     """Materialize the chi table for all of P_n (size d^{2n} per side)."""
     side = d ** (2 * n)
-    if side > max_side:
+    if side > _MAX_CHARACTER_SIDE:
         raise PreconditionError(
-            f"character matrix side {side} exceeds the bound {max_side}"
+            f"character matrix side {side} exceeds the bound {_MAX_CHARACTER_SIDE}"
         )
     classes = all_classes(d, n)
     rows = _class_rows(classes, n)
     return CharacterMatrix(d, n, tuple(classes), _chi_rows(rows, rows, d))
 
 
-def annihilator(K: PauliSubgroup, max_size: int = _DEFAULT_MAX_SIZE) -> PauliSubgroup:
+def annihilator(K: PauliSubgroup) -> PauliSubgroup:
     """All classes commuting with every element of K, for any d >= 2.
 
     The classes v with g.x . v.z - g.z . v.x = 0 (mod d) for every generator g
     of K are the kernel of one integer matrix over Z_d; the kernel solver
-    returns their Howell form directly, and |K| |Ann K| = d^{2n}.  Raises
-    PreconditionError when Ann K has more than ``max_size`` elements.
+    returns their Howell form directly, and |K| |Ann K| = d^{2n}.
     """
-    return PauliSubgroup._from_howell(K.d, K.n, *_commuting(K._gens, K.d), max_size)
+    return PauliSubgroup._from_howell(K.d, K.n, *_commuting(K._gens, K.d))
 
 
 def _commuting(rows: np.ndarray, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -347,18 +335,19 @@ def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
 
     Each round adjoins the canonically smallest class of Ann K \\ K, K being the
     group grown so far; the result is Abelian of size exactly d^n and contains
-    the input.  Ann K is enumerated once, for the input; after each round only
-    the classes commuting with the adjoined g are kept, since Ann <K, g> is
-    the intersection of Ann K and Ann g.
+    the input.  Ann K is enumerated once, for the input, so the bound on
+    enumeration applies to it; after each round only the classes commuting
+    with the adjoined g are kept, since Ann <K, g> is the intersection of
+    Ann K and Ann g.
     """
     if not is_abelian(K):
         raise PreconditionError("extend_to_maximal requires an Abelian subgroup")
     d, n = K.d, K.n
     cand = annihilator(K).rows
-    while len(K) < d**n:
+    while K.order < d**n:
         # cand holds Ann K in canonical order; its first |K| + 1 rows include
         # a class outside K, since at most |K| of them lie in K
-        head = cand[: len(K) + 1]
+        head = cand[: K.order + 1]
         g = head[_residue(head, K).any(axis=1)][0].astype(np.int64)
         K = PauliSubgroup._from_howell(d, n, *_howell(np.vstack([K._gens, g]), d))
         cand = cand[_chi_rows(cand, g[None, :], d)[:, 0] == 0]

@@ -96,6 +96,19 @@ def test_group_abelian_exit_codes(capsys):
     assert code == 1 and payload(out)["abelian"] is False
 
 
+SITE_ZS_64 = ",".join("I" * i + "Z" + "I" * (63 - i) for i in range(64))
+
+
+def test_group_of_order_2_to_the_64_is_built_but_not_enumerated(capsys):
+    code, out, _ = run(capsys, "group", "abelian", "--gens", SITE_ZS_64)
+    assert code == 0 and payload(out) == {"abelian": True, "size": 2**64}
+    assert '"size": 18446744073709551616' in out
+    code, _, err = run(capsys, "group", "close", "--gens", SITE_ZS_64)
+    assert code == 3 and "above the bound 1000000" in err
+    code, _, err = run(capsys, "privacy", "certify", "--group", SITE_ZS_64, "--construct")
+    assert code == 3 and "rho0" in err
+
+
 def test_group_charmatrix_csv_matches_table(capsys, tmp_path):
     out_path = tmp_path / "F.csv"
     code, out, _ = run(capsys, "group", "charmatrix", "--d", "3", "--n", "1",
@@ -406,17 +419,23 @@ BAD_TOKENS = ["Q%", "X9", "w.X", "X1Z", ":", "XZ:", "+-X", "I:Z", "w1.X1:I", " "
 
 
 @st.composite
-def pauli_list(draw, d):
-    # site counts with d^n <= 16, so that dense algebras stay small
+def pauli_list(draw, d, wide=False):
+    # site counts with d^n <= 16, so that dense algebras stay small.  `wide` draws
+    # qubit groups on up to 64 sites; above 6 sites it takes at most min(13, 2n - 20)
+    # generators, so a group has at most 2^13 elements and its annihilator at least
+    # 4^n / 2^(2n - 20) = 2^20 > 10^6, which is refused.  On at most 6 sites no
+    # group has more than 4^6 elements.
     sites = {2: 4, 3: 2, 4: 2}[d]
-    n = draw(st.integers(1, sites))
+    n = draw(st.integers(1, 6) | st.integers(12, 64) if wide and d == 2
+             else st.integers(1, sites))
+    count = 4 if n <= 6 else min(13, 2 * n - 20)
     if d == 2:
         good = st.text("IXYZ", min_size=n, max_size=n)
     else:
         site = st.sampled_from(["I", "X1", "Z1", "X1Z2", "X2Z1", "Z3"])
         good = st.lists(site, min_size=n, max_size=n).map(":".join)
     tokens = draw(st.lists(st.one_of(good, good, good, st.sampled_from(BAD_TOKENS)),
-                           max_size=4))
+                           max_size=count))
     return ",".join(tokens)
 
 
@@ -448,7 +467,7 @@ def fuzz_argv(draw, root):
                                        "charmatrix"]))
         argv = ["group", action]
         if action != "charmatrix":
-            argv += ["--gens", draw(gens)]
+            argv += ["--gens", draw(pauli_list(max(d, 2), wide=True))]
     elif topic == "channel":
         action = draw(st.sampled_from(["from-group", "condexp", "apply", "choi-equal"]))
         argv = ["channel", action]

@@ -201,12 +201,12 @@ def test_max_pipeline_preconditions():
 def test_pipeline_refuses_a_group_above_the_len_limit_by_its_size_bound():
     n = 64  # |K| = 2^64 does not fit len(); nothing is enumerated
     zs = [PauliClass(2, n, (0,) * n, tuple(int(j == i) for j in range(n))) for i in range(n)]
-    K = close(zs, max_size=2**n)
-    assert K == K and K == close(zs[::-1], max_size=2**n)
-    assert K != close(zs[1:], max_size=2**n)
-    assert hash(K) == hash(close(zs[::-1], max_size=2**n))
+    K = close(zs)
+    assert K == K and K == close(zs[::-1])
+    assert K != close(zs[1:])
+    assert hash(K) == hash(close(zs[::-1]))
     for pipeline in (private_algebra_for_abelian, private_algebra_for_max_abelian):
-        with pytest.raises(PreconditionError, match="above the bound"):
+        with pytest.raises(PreconditionError, match="the fixed state rho0"):
             pipeline(K)
     for build in (subgroup_algebra, channel_from_subgroup):
         with pytest.raises(PreconditionError, match="check_privatized_subgroup"):

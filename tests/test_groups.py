@@ -1,6 +1,7 @@
 """Subgroup machinery: closures, character matrices, annihilators, extensions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 from paulipriv import (
     PauliClass,
-    PauliSubgroup,
     PreconditionError,
     all_classes,
     annihilator,
     character_matrix,
     close,
     diagonal_subgroup,
+    encoded_subgroup,
     extend_to_maximal,
     is_abelian,
     parse_pauli,
@@ -86,9 +87,11 @@ def test_close_two_qutrit_group_vs_brute_force():
 
 
 def test_close_size_bound():
-    gens = [cls(s) for s in ("XI", "ZI", "IX", "IZ")]
-    with pytest.raises(PreconditionError):
-        close(gens, max_size=8)
+    # the 10^6 element bound is checked where elements are enumerated, not on building
+    D = diagonal_subgroup(2, 20)
+    assert len(D) == 2**20
+    with pytest.raises(PreconditionError, match="above the bound 1000000"):
+        D.rows
 
 
 def test_close_mixed_spaces_rejected():
@@ -302,8 +305,6 @@ def test_subgroup_invariants():
         assert (4**3) % len(K) == 0
         for c in K.elements[:8]:
             assert c.inverse() in K
-    with pytest.raises(PreconditionError):
-        PauliSubgroup(2, 1, (cls("X"),))  # identity missing
 
 
 def _scan_annihilator(gens, d, n):
@@ -463,7 +464,7 @@ def _check_partners(K):
 def test_symplectic_partners_z_type_large_n(k):
     n = max(k, 64)
     zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(k)]
-    _, h = _check_partners(close(zs, max_size=2**n))  # Howell rows only; nothing is enumerated
+    _, h = _check_partners(close(zs))  # Howell rows only; nothing is enumerated
     # the partners of the Z_j are exactly the X_j (the pinned ZI,IZ construction rests on it)
     assert [c.x for c in h] == [tuple(int(i == j) for i in range(n)) for j in range(k)]
     assert not any(any(c.z) for c in h)
@@ -528,3 +529,39 @@ def test_symplectic_partners_need_a_free_generator():
     # over Z_4, 2 Z has chi exponent 0 or 2 with every class: no unit partner
     with pytest.raises(PreconditionError, match="generator 1 of K"):
         symplectic_partners(close([parse_pauli("Z2", d=4).pauli_class()]))
+
+
+def test_groups_of_order_2_to_the_64_enumerate_nothing():
+    n = 64
+    zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    tracemalloc.start()
+    try:
+        # each of these raises if it enumerates a group above the element bound
+        K, D = close(zs), diagonal_subgroup(2, n)
+        ann, H, h = annihilator(K), encoded_subgroup(K), symplectic_partners(K)
+        assert K == D == ann and hash(K) == hash(D) == hash(close(zs[::-1]))
+        assert is_abelian(K) and not is_abelian(H) and K != H
+        assert zs[5] in K and h[1] not in K and h[1] in H  # h_2 = X_2
+        sub = close(zs[1:])
+        assert sub.issubset(K) and not K.issubset(sub) and K != sub
+        assert repr(K) == f"PauliSubgroup(d=2, n=64, size={2**64})"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K.order == D.order == ann.order == H.order == 2**64
+    assert peak < 64 * 2**20
+
+
+_BIG = annihilator(close((), d=2, n=10))  # all 4^10 classes
+
+
+@pytest.mark.parametrize("enumerate_group", [
+    lambda: _BIG.rows,
+    lambda: list(_BIG),
+    lambda: _BIG.elements,
+    lambda: _BIG.xz_arrays(),
+    lambda: extend_to_maximal(close([cls("Z" + "I" * 10)])),  # |Ann <Z_1>| = 2^21
+])
+def test_enumeration_above_the_element_bound_is_refused(enumerate_group):
+    with pytest.raises(PreconditionError, match="above the bound 1000000"):
+        enumerate_group()

@@ -127,6 +127,9 @@ def test_subgroup_file_errors():
         subgroup_from_text("d=2 n=2\nXXX\n")  # wrong site count
     with pytest.raises(FormatError):
         subgroup_from_text("d=2 n=2\nZI\nIX\n")  # not closed (missing ZX)
+    z_lines = "".join("I" * i + "Z" + "I" * (19 - i) + "\n" for i in range(20))
+    with pytest.raises(FormatError, match="closed subgroup"):
+        subgroup_from_text("d=2 n=20\n" + z_lines)  # 20 of the 2^20 classes
 
 
 def test_character_matrix_csv():
