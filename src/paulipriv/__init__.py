@@ -19,7 +19,6 @@ from .algebra import (
     conditional_expectation,
     diagonal_algebra,
     full_matrix_algebra,
-    left_regular_trace,
     scalar_algebra,
     span_closure,
     structure_type,

@@ -9,8 +9,8 @@ including Choi-matrix equality.
 The block structure A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U comes from the
 eigenspaces of one generic element of A (Murota, Kanno, Kojima & Kojima,
 Japan J. Indust. Appl. Math. 27, 2010) in O(dim A N^2 + N^3), with no
-N^2 x N^2 matrix; the commutant U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the
-conditional expectation are read off the same decomposition.
+N^2 x N^2 matrix.  Each algebra computes it once and keeps it; the commutant
+U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the conditional expectation read it.
 
 Rank, cluster and coupling decisions are never silent: singular values,
 eigenvalue gaps or coupling norms inside a factor-of-ten window around the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "conditional_expectation",
     "diagonal_algebra",
     "full_matrix_algebra",
-    "left_regular_trace",
     "scalar_algebra",
     "span_closure",
     "structure_type",
@@ -115,15 +115,15 @@ class OperatorAlgebra:
         coeffs = self.rows().conj() @ x.reshape(-1)
         return (coeffs @ self.rows()).reshape(self.N, self.N)
 
-    def contains(self, x, rtol: float = _RTOL_RANK) -> bool:
+    def contains(self, x) -> bool:
         x = _as_square(x)
         resid = x - self.project(x)
-        return np.linalg.norm(resid) <= rtol * max(1.0, np.linalg.norm(x))
+        return np.linalg.norm(resid) <= _RTOL_RANK * max(1.0, np.linalg.norm(x))
 
-    def verify(self, tol: float = 1e-9) -> None:
+    def verify(self) -> None:
         """Check orthonormality, identity membership and product closure."""
         g = self.rows() @ self.rows().conj().T
-        if np.abs(g - np.eye(self.dim)).max() > tol:
+        if np.abs(g - np.eye(self.dim)).max() > 1e-9:
             raise PreconditionError("algebra basis is not orthonormal")
         if not self.contains(np.eye(self.N)):
             raise PreconditionError("algebra does not contain the identity")
@@ -133,6 +133,19 @@ class OperatorAlgebra:
             for b in self.basis:
                 if not self.contains(a @ b):
                     raise PreconditionError("algebra is not closed under products")
+
+    @cached_property
+    def _decomposition(self) -> tuple[StructureType, np.ndarray]:
+        """The decomposition of :func:`structure_type`; a failure is not kept."""
+        rng = np.random.default_rng(_STRUCTURE_SEED)
+        for _ in range(_STRUCTURE_DRAWS):
+            try:
+                return _decompose(self, rng)
+            except NumericalAmbiguityError as exc:
+                last = exc
+        raise NumericalAmbiguityError(
+            f"no verified block form in {_STRUCTURE_DRAWS} generic draws; last: {last}"
+        )
 
 
 def _append_independent(
@@ -169,7 +182,7 @@ def _append_independent(
     return pieces[0] if len(pieces) == 1 else np.vstack(pieces)
 
 
-def span_closure(ops, *, N: int | None = None, rtol: float = _RTOL_RANK) -> OperatorAlgebra:
+def span_closure(ops, *, N: int | None = None) -> OperatorAlgebra:
     """Smallest unital *-algebra containing ``ops``, as an orthonormal basis.
 
     The identity is adjoined automatically.  The basis is grown by spinning
@@ -192,7 +205,7 @@ def span_closure(ops, *, N: int | None = None, rtol: float = _RTOL_RANK) -> Oper
     L = N * N
     rows = [np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)]
     rows += [m.reshape(-1) for m in mats]
-    stack = _append_independent(None, np.array(rows), rtol)
+    stack = _append_independent(None, np.array(rows))
     first = stack.reshape(-1, N, N)
     mults = np.concatenate([first, first.conj().transpose(0, 2, 1)]).reshape(-1, N)
     pending = list(range(len(stack)))
@@ -203,7 +216,7 @@ def span_closure(ops, *, N: int | None = None, rtol: float = _RTOL_RANK) -> Oper
         newm = stack[take].reshape(-1, N, N).transpose(1, 0, 2).reshape(N, -1)
         cands = (mults @ newm).reshape(-1, N, len(take), N).transpose(0, 2, 1, 3)
         before = len(stack)
-        stack = _append_independent(stack, cands.reshape(-1, L), rtol)
+        stack = _append_independent(stack, cands.reshape(-1, L))
         if len(stack) > L:
             raise NumericalAmbiguityError(
                 f"span closure exceeded N^2 = {L} dimensions; rank decisions drifted"
@@ -331,14 +344,13 @@ def _decompose(A: OperatorAlgebra, rng) -> tuple[StructureType, np.ndarray]:
             f"blocks {st.blocks} span {st.algebra_dimension} dimensions, "
             f"the algebra {A.dim}"
         )
-    u = np.hstack([cols for _, _, cols in blocks]).conj().T
-    _verify_block_form(u, A, st.blocks)
-    return st, u
+    u = np.hstack([cols for _, _, cols in blocks]).conj()
+    u.setflags(write=False)  # kept with A; the transpose U inherits read-only
+    _verify_block_form(u.T, A, st.blocks)
+    return st, u.T
 
 
-def structure_type(
-    A: OperatorAlgebra, *, seed: int = _STRUCTURE_SEED
-) -> tuple[StructureType, np.ndarray]:
+def structure_type(A: OperatorAlgebra) -> tuple[StructureType, np.ndarray]:
     """Block structure of A and a unitary U with U a U^dag in block form.
 
     The blocks come from the eigenspaces of one generic element of A
@@ -346,14 +358,8 @@ def structure_type(
     O(dim A N^2 + N^3) per draw.  A draw is accepted only when the blocks
     have sum q_i^2 = dim A and every basis element passes the block-form
     check, which together prove A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U;
-    otherwise another draw is taken, up to 16.
-
-    Parameters
-    ----------
-    A : OperatorAlgebra
-    seed : int
-        Seed for the generic-element draws; fixed by default so that
-        repeated runs return identical unitaries.
+    otherwise another draw is taken, up to 16.  The seed is fixed, so U
+    depends only on A; it is computed once, kept with A and read-only.
 
     Returns
     -------
@@ -364,17 +370,9 @@ def structure_type(
     ------
     NumericalAmbiguityError
         When no draw yields a verified block form, e.g. for a span that is
-        not closed under products.
+        not closed under products; nothing is kept, so every call raises.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(_STRUCTURE_DRAWS):
-        try:
-            return _decompose(A, rng)
-        except NumericalAmbiguityError as exc:
-            last = exc
-    raise NumericalAmbiguityError(
-        f"no verified block form in {_STRUCTURE_DRAWS} generic draws; last: {last}"
-    )
+    return A._decomposition
 
 
 def _matrix_units(st: StructureType, u: np.ndarray):
@@ -401,22 +399,6 @@ def commutant(A: OperatorAlgebra) -> OperatorAlgebra:
     return OperatorAlgebra(
         np.concatenate([units / math.sqrt(q) for _, q, units in _matrix_units(st, u)])
     )
-
-
-def left_regular_trace(A: OperatorAlgebra, a, *, rtol: float = _RTOL_RANK) -> complex:
-    """Trace of left multiplication by ``a`` acting on all of M_N.
-
-    ``a`` must lie in the span of A (projection residual at most ``rtol``
-    relative).  L_a(x) = a x is a (x) I on the N^2 dimensional space, so its
-    trace is N tr(a).
-    """
-    a = _as_square(a)
-    if a.shape[0] != A.N:
-        raise PreconditionError("operator dimension does not match the algebra")
-    resid = a - A.project(a)
-    if np.linalg.norm(resid) > rtol * max(1.0, np.linalg.norm(a)):
-        raise PreconditionError("operator lies outside the algebra span")
-    return complex(A.N * np.trace(a))
 
 
 @dataclass(frozen=True)
@@ -484,16 +466,14 @@ def choi_equal(phi1: Channel, phi2: Channel, tol: float = _CHOI_TOL) -> bool:
     return bool(np.abs(choi_matrix(phi1) - choi_matrix(phi2)).max() <= tol)
 
 
-def conditional_expectation(
-    A: OperatorAlgebra, *, seed: int = _STRUCTURE_SEED
-) -> Channel:
+def conditional_expectation(A: OperatorAlgebra) -> Channel:
     """The trace-preserving conditional expectation onto A as a Kraus channel.
 
     Built from the block decomposition: within each I_k (x) M_q block the map
     is the normalized partial trace over the multiplicity factor, realized by
     matrix-unit Kraus operators scaled by 1/sqrt(k).
     """
-    st, u = structure_type(A, seed=seed)
+    st, u = structure_type(A)
     return Channel(
         np.concatenate([units / math.sqrt(k) for k, _, units in _matrix_units(st, u)])
     )

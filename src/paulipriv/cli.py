@@ -7,8 +7,8 @@ and privatization certificates) and ``demo`` (the two worked constructions).
 
 Exit codes: 0 success, 1 a verified-false verdict, 2 input, parse or file
 error, 3 precondition violation (including a failed dense decomposition).
-JSON output is deterministic given inputs and --seed; the timestamp field can
-be suppressed with --no-timestamp.
+JSON output is deterministic given the inputs (--seed seeds only the random
+states of ``demo phaseflip``); --no-timestamp suppresses the timestamp field.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .privacy import (
 
 _DEFAULT_SEED = 2016
 _DEFAULT_TOL = 1e-8
+_QUASI_TOL = 1e-9
 
 
 def _parse_gens(text: str, d: int):
@@ -91,12 +92,6 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
     return subgroup_algebra(close(elems))
 
 
-def _resolve_tol(args, default: float = _DEFAULT_TOL) -> float:
-    tol = args.tol if args.tol is not None else default
-    args.effective_tol = tol
-    return tol
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "json") == "text":
         out = "\n".join(text_lines) + "\n"
@@ -104,8 +99,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         envelope = {
             "command": args.command_path,
             "seed": args.seed,
-            "tolerance": getattr(args, "effective_tol", None)
-            or (args.tol if args.tol is not None else _DEFAULT_TOL),
+            "tolerance": args.tol,
             "result": payload,
         }
         if not args.no_timestamp:
@@ -114,11 +108,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     sys.stdout.write(out)
 
 
-def _add_common(p):
+def _add_common(p, tol=_DEFAULT_TOL):
     p.add_argument("--d", type=int, default=2, help="qudit dimension")
     p.add_argument("--n", type=int, default=None, help="site count")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the command's default tolerance")
+    p.add_argument("--tol", type=float, default=tol,
+                   help=f"decision tolerance (default {tol:g})")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--no-timestamp", action="store_true")
@@ -160,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("quasiorth")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _add_common(p)
+    _add_common(p, tol=_QUASI_TOL)
     p = psub.add_parser("certify")
     p.add_argument("--group", default=None, help="generators of the Kraus subgroup")
     p.add_argument("--construct", action="store_true",
@@ -233,7 +227,7 @@ def _cmd_channel(args) -> int:
         return 0
     if args.action == "condexp":
         alg = _algebra_from_arg(args.algebra, args.d, args.n)
-        phi = conditional_expectation(alg, seed=args.seed)
+        phi = conditional_expectation(alg)
         obj = serialize.channel_to_obj(phi)
         if args.out:
             serialize.write_json(args.out, obj)
@@ -253,7 +247,7 @@ def _cmd_channel(args) -> int:
     if args.action == "choi-equal":
         phi1 = serialize.channel_from_obj(serialize.read_json(args.a))
         phi2 = serialize.channel_from_obj(serialize.read_json(args.b))
-        verdict = choi_equal(phi1, phi2, tol=_resolve_tol(args))
+        verdict = choi_equal(phi1, phi2, tol=args.tol)
         _emit(args, {"equal": verdict}, [f"choi-equal: {verdict}"])
         return 0 if verdict else 1
     raise PreconditionError(f"unknown channel action {args.action!r}")
@@ -281,8 +275,7 @@ def _cmd_privacy(args) -> int:
     if args.action == "quasiorth":
         a = _algebra_from_arg(args.a, args.d, args.n)
         b = _algebra_from_arg(args.b, args.d, args.n)
-        report = quasiorth_condition_suite(a, b, tol=_resolve_tol(args, 1e-9),
-                                           seed=args.seed)
+        report = quasiorth_condition_suite(a, b, tol=args.tol)
         payload = {
             "quasiorthogonal": report.verdict,
             "deviations": dict(zip("1234", report.deviations)),
@@ -294,7 +287,6 @@ def _cmd_privacy(args) -> int:
         return 0 if report.verdict else 1
 
     if args.action == "certify":
-        tol = _resolve_tol(args)
         if args.construct:
             if not args.group:
                 raise PreconditionError("--construct needs --group")
@@ -306,7 +298,7 @@ def _cmd_privacy(args) -> int:
                 "algebra": serialize.sha256_of_array(alg.basis),
             }
             cert = check_privatized_algebra(
-                phi, alg, tol=tol,
+                phi, alg, tol=args.tol,
                 channel_description=f"group channel from {args.group!r}",
                 subject_description="constructed private algebra",
                 input_hashes=cert_hashes,
@@ -317,7 +309,7 @@ def _cmd_privacy(args) -> int:
                 raise PreconditionError("certify needs --algebra or --construct")
             alg = _algebra_from_arg(args.algebra, args.d, args.n)
             cert = check_privatized_algebra(
-                phi, alg, tol=tol,
+                phi, alg, tol=args.tol,
                 channel_description=desc,
                 subject_description=f"algebra {args.algebra!r}",
                 input_hashes={

@@ -335,14 +335,16 @@ def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
 
     Each round adjoins the canonically smallest class of Ann K \\ K, K being the
     group grown so far; the result is Abelian of size exactly d^n and contains
-    the input.  Ann K is enumerated once, for the input, so the bound on
-    enumeration applies to it; after each round only the classes commuting
-    with the adjoined g are kept, since Ann <K, g> is the intersection of
-    Ann K and Ann g.
+    the input.  A maximal input is returned as it is; otherwise Ann K is
+    enumerated once, for the input, so the bound on enumeration applies to it.
+    After each round only the classes commuting with the adjoined g are kept,
+    since Ann <K, g> is the intersection of Ann K and Ann g.
     """
     if not is_abelian(K):
         raise PreconditionError("extend_to_maximal requires an Abelian subgroup")
     d, n = K.d, K.n
+    if K.order == d**n:  # already maximal: nothing to enumerate
+        return K
     cand = annihilator(K).rows
     while K.order < d**n:
         # cand holds Ann K in canonical order; its first |K| + 1 rows include

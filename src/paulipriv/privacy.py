@@ -91,12 +91,10 @@ def _pair_deviation(A: OperatorAlgebra, B: OperatorAlgebra) -> float:
     return float(np.abs(prod / n - np.outer(tra, trb) / n**2).max())
 
 
-def is_quasiorthogonal(
-    A: OperatorAlgebra, B: OperatorAlgebra, tol: float = _QUASI_TOL
-) -> bool:
+def is_quasiorthogonal(A: OperatorAlgebra, B: OperatorAlgebra) -> bool:
     """Trace condition for quasiorthogonality, checked on all basis pairs."""
     _check_same_dim(A, B)
-    return _pair_deviation(A, B) <= tol
+    return _pair_deviation(A, B) <= _QUASI_TOL
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,7 @@ class QuasiorthogonalityReport:
 
 
 def quasiorth_condition_suite(
-    A: OperatorAlgebra,
-    B: OperatorAlgebra,
-    tol: float = _QUASI_TOL,
-    *,
-    seed: int | None = None,
+    A: OperatorAlgebra, B: OperatorAlgebra, tol: float = _QUASI_TOL
 ) -> QuasiorthogonalityReport:
     """Evaluate all four quasiorthogonality conditions independently.
 
@@ -150,9 +144,8 @@ def quasiorth_condition_suite(
     dev2 = _pair_deviation(A, B)
     dev1 = n * dev2  # tr(ab) - tr(a)tr(b)/N, the centered product trace
 
-    kwargs = {} if seed is None else {"seed": seed}
-    sa = superoperator(conditional_expectation(A, **kwargs))
-    sb = superoperator(conditional_expectation(B, **kwargs))
+    sa = superoperator(conditional_expectation(A))
+    sb = superoperator(conditional_expectation(B))
     # E_A(b) for every basis element b of B at once: columns S_A vec(b)
     dev3 = float(max(
         np.abs(sa @ B.rows().T - np.outer(vec_eye, trb) / n).max(),
@@ -234,11 +227,9 @@ def check_private_subsystem(
     dim_a: int,
     dim_b: int,
     sigma_a,
-    tol: float = _PRIVACY_TOL,
     *,
     channel_description: str = "channel",
     subject_description: str = "subsystem",
-    input_hashes: dict | None = None,
 ) -> PrivacyCertificate:
     """Certify a private subsystem behind the isometry V: A (x) B -> H.
 
@@ -274,11 +265,11 @@ def check_private_subsystem(
             out = apply_channel(phi, v @ np.kron(sigma, unit) @ v.conj().T)
             target = rho0 if j == k else 0.0
             per_basis.append(float(np.abs(out - target).max()))
-    return _certificate(rho0, per_basis, tol, channel_description,
-                        subject_description, input_hashes)
+    return _certificate(rho0, per_basis, _PRIVACY_TOL, channel_description,
+                        subject_description, None)
 
 
-def kraus_mutually_commuting(phi: Channel, tol: float = _QUASI_TOL) -> bool:
+def kraus_mutually_commuting(phi: Channel) -> bool:
     """True iff all Kraus operator pairs commute.
 
     Channels with commuting normal Kraus operators cannot privatize a
@@ -288,6 +279,6 @@ def kraus_mutually_commuting(phi: Channel, tol: float = _QUASI_TOL) -> bool:
     ks = phi.kraus
     for i in range(len(ks)):
         for j in range(i + 1, len(ks)):
-            if np.abs(ks[i] @ ks[j] - ks[j] @ ks[i]).max() > tol:
+            if np.abs(ks[i] @ ks[j] - ks[j] @ ks[i]).max() > _QUASI_TOL:
                 return False
     return True

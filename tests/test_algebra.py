@@ -17,8 +17,8 @@ from paulipriv import (
     conditional_expectation,
     diagonal_algebra,
     full_matrix_algebra,
-    left_regular_trace,
     parse_pauli,
+    quasiorth_condition_suite,
     scalar_algebra,
     span_closure,
     structure_type,
@@ -28,7 +28,6 @@ from paulipriv import close
 from paulipriv.algebra import _append_independent, superoperator
 from helpers import (
     X2,
-    Z2,
     gram_commutant,
     haar_unitary,
     planted_basis,
@@ -344,43 +343,39 @@ def test_span_not_closed_under_products_never_returns():
         commutant(not_closed)
 
 
-def test_left_regular_trace_identity():
-    for n in (2, 4):
-        alg = scalar_algebra(n)
-        assert left_regular_trace(alg, np.eye(n)) == pytest.approx(n * n)
+def test_one_decomposition_per_algebra(monkeypatch):
+    # commutant, structure_type, the conditional expectation and the
+    # quasiorthogonality suite all read one kept decomposition per algebra
+    import paulipriv.algebra as algebra_module
+
+    real = algebra_module._decompose
+    drawn = []
+
+    def counting(A, rng):
+        drawn.append(A)
+        return real(A, rng)
+
+    monkeypatch.setattr(algebra_module, "_decompose", counting)
+    rng = np.random.default_rng(108)
+    basis = planted_basis(((2, 2), (1, 3)), haar_unitary(rng, 7))
+    A = span_closure(list(np.tensordot(rng.standard_normal((2, len(basis))), basis, 1)))
+    B = diagonal_algebra(7)
+    commutant(A)
+    structure_type(A)
+    conditional_expectation(A)
+    quasiorth_condition_suite(A, B)
+    assert len(drawn) == 2
+    assert drawn[0] is A and drawn[1] is B
 
 
-def test_left_regular_trace_e11_oracle():
-    d4 = diagonal_algebra(4)
-    e11 = np.zeros((4, 4), dtype=complex)
-    e11[0, 0] = 1.0
-    # explicit 16x16 matrix of x -> e11 x on the matrix units
-    units = [np.zeros((4, 4), dtype=complex) for _ in range(16)]
-    for idx in range(16):
-        units[idx][idx // 4, idx % 4] = 1.0
-    big = np.zeros((16, 16), dtype=complex)
-    for col, u in enumerate(units):
-        out = (e11 @ u).reshape(-1)
-        big[:, col] = out
-    assert np.trace(big) == pytest.approx(4.0)
-    assert left_regular_trace(d4, e11) == pytest.approx(np.trace(big))
-
-
-def test_left_regular_trace_z_oracle():
-    alg = span_closure([Z2])
-    units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
-    for idx in range(4):
-        units[idx][idx // 2, idx % 2] = 1.0
-    big = np.zeros((4, 4), dtype=complex)
-    for col, u in enumerate(units):
-        big[:, col] = (Z2 @ u).reshape(-1)
-    assert np.trace(big) == pytest.approx(0.0)
-    assert left_regular_trace(alg, Z2) == pytest.approx(0.0)
-
-
-def test_left_regular_trace_outside_algebra():
-    with pytest.raises(PreconditionError):
-        left_regular_trace(span_closure([Z2]), X2)
+def test_kept_unitary_is_read_only():
+    alg = motivating_algebra()
+    st1, u1 = structure_type(alg)
+    st2, u2 = structure_type(alg)
+    assert st1 is st2 and u1 is u2
+    with pytest.raises(ValueError):
+        u1[0, 0] = 0.0
+    assert structure_type(alg)[1] is u1
 
 
 def test_conditional_expectation_full_is_identity():

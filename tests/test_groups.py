@@ -21,7 +21,13 @@ from paulipriv import (
     is_abelian,
     parse_pauli,
 )
-from paulipriv.groups import _howell, _kernel, generating_set, symplectic_partners
+from paulipriv.groups import (
+    PauliSubgroup,
+    _howell,
+    _kernel,
+    generating_set,
+    symplectic_partners,
+)
 from helpers import (
     brute_closure,
     dense_oracle,
@@ -251,6 +257,15 @@ def test_double_annihilator_is_identity():
 
 def test_extend_already_maximal_unchanged():
     K = close([cls("ZI"), cls("IZ")])
+    assert extend_to_maximal(K) == K
+
+
+@pytest.mark.parametrize("n", [20, 64])
+def test_extend_of_a_maximal_group_enumerates_nothing(monkeypatch, n):
+    # Ann K of the diagonal group has 2^n elements, above the enumeration bound
+    K = diagonal_subgroup(2, n)
+    monkeypatch.setattr(PauliSubgroup, "rows",
+                        property(lambda self: pytest.fail("a group was enumerated")))
     assert extend_to_maximal(K) == K
 
 
