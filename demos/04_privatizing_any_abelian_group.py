@@ -1,4 +1,4 @@
-"""Every Abelian Pauli subgroup channel hides floor(k/2) qubits.
+"""Every Abelian Pauli subgroup channel hides floor(k/2) qubits (or qudits).
 
 For a maximal Abelian subgroup G on n qubits (size 2^n), the equally
 weighted group channel privatizes floor(n/2) qubits: pair each generator g_j
@@ -6,7 +6,8 @@ of G with a symplectic partner h_j, form the encoded qubits h_{2i} and
 h_{2i-1} h_{2i} g_{2i-1} g_{2i}, take the span of the Pauli subgroup they
 generate, and certify it from integers: span H is private exactly when H
 meets Ann G only in the identity.  For a non-maximal subgroup of size 2^k
-the same works with floor(k/2) qubits.
+the same works with floor(k/2) qubits.  Over Z_d the same code privatizes
+floor(k/2) qudits whenever the Howell rows of the subgroup have unit pivots.
 """
 
 import numpy as np
@@ -62,3 +63,9 @@ print(f"|K| = {len(K)} (k = 2) on n = 4 sites: "
       "= one hidden qubit")
 print("fixed output state is I/16:",
       np.abs(cert.rho0 - np.eye(16) / 16).max() < 1e-12)
+
+algebra, cert = private_algebra_for_max_abelian(diagonal_subgroup(3, 4))
+st, _ = structure_type(algebra)
+print(f"d = 3, diagonal group on n = 4 sites: "
+      f"{'certified' if cert.verdict else 'FAILED'}, structure {st.blocks} "
+      "= two hidden qutrits")

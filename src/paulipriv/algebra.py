@@ -75,7 +75,7 @@ def _as_square(op, name="operator") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorAlgebra:
     """A unital *-subalgebra of M_N given by an orthonormal basis.
 
@@ -254,10 +254,6 @@ class StructureType:
         )
 
     @property
-    def total_dimension(self) -> int:
-        return sum(k * q for k, q in self.blocks)
-
-    @property
     def algebra_dimension(self) -> int:
         return sum(q * q for _, q in self.blocks)
 
@@ -401,7 +397,7 @@ def commutant(A: OperatorAlgebra) -> OperatorAlgebra:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A completely positive trace-preserving map as a stack of Kraus operators."""
 
@@ -421,6 +417,7 @@ class Channel:
 
     @classmethod
     def identity(cls, n: int) -> "Channel":
+        _require_dense(1, n, "the identity channel's Kraus operator")
         return cls(np.eye(n, dtype=complex)[None])
 
     @property
@@ -481,6 +478,7 @@ def conditional_expectation(A: OperatorAlgebra) -> Channel:
 
 def scalar_algebra(n: int) -> OperatorAlgebra:
     """The scalars C I inside M_n."""
+    _require_dense(1, n, "the scalar algebra's basis operator")
     return OperatorAlgebra(np.eye(n, dtype=complex)[None] / math.sqrt(n))
 
 

@@ -1,13 +1,15 @@
 """Explicit private-subsystem constructions for Abelian Pauli subgroups.
 
-The pipeline turns an Abelian subgroup K = <g_1, ..., g_k> of the n-qubit
-class group into a channel (equally weighted class representatives as Kraus
-operators) plus a certified private algebra: the span of the subgroup H of
-:func:`~paulipriv.groups.encoded_subgroup`, generated by the encoded qubits
-h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i} built from symplectic partners h_j
-of the g_j.  Every non-identity class of H anticommutes with some g_j, so the
-group channel sends it to zero, which is exactly why span H is privatized.
-A maximal K is the case k = n of the same construction.
+The pipeline turns an Abelian subgroup K = <g_1, ..., g_k> of the n-qudit
+class group, for any d >= 2, into a channel (equally weighted class
+representatives as Kraus operators) plus a certified private algebra: the span
+of the subgroup H of :func:`~paulipriv.groups.encoded_subgroup`, generated by
+the encoded qudits h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i} built from
+symplectic partners h_j of the g_j.  Every non-identity class of H fails to
+commute with some g_j, so the group channel sends it to zero, which is exactly
+why span H is privatized.  A maximal K is the case k = n of the same
+construction; a K whose Howell rows have a non-unit pivot (composite d only)
+has no partners and is refused.
 
 The pipeline's certificate is read off the intersection of H and Ann K by
 :func:`~paulipriv.privacy.check_privatized_subgroup`, with no dense channel;
@@ -95,14 +97,16 @@ def max_private_qubits(n: int) -> int:
 def private_algebra_for_abelian(
     K: PauliSubgroup,
 ) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    """Certified private algebra of floor(k/2) qubits for Abelian K of size 2^k."""
+    """Certified private algebra of floor(k/2) qudits for Abelian K of size d^k, any d.
+
+    K needs Howell pivot entries 1 (every K does for prime d); blocks (N/d^m, d^m).
+    """
     H = encoded_subgroup(K)
-    qubits = H.order.bit_length() // 2  # |H| = 4^qubits
     cert = check_privatized_subgroup(
         K,
         H,
-        channel_description=f"group channel, {K.order} Kraus operators on {2**K.n} dims",
-        subject_description=f"encoded Pauli subgroup algebra, {qubits} qubits",
+        channel_description=f"group channel, {K.order} Kraus operators on {K.d**K.n} dims",
+        subject_description=f"encoded Pauli subgroup algebra, |H| = {H.order}",
     )
     return subgroup_algebra(H), cert
 
@@ -110,7 +114,7 @@ def private_algebra_for_abelian(
 def private_algebra_for_max_abelian(
     G: PauliSubgroup,
 ) -> tuple[OperatorAlgebra, PrivacyCertificate]:
-    """Certified private algebra of floor(n/2) qubits for a maximal Abelian G."""
+    """Certified private algebra of floor(n/2) qudits for a maximal Abelian G."""
     if G.order != G.d**G.n:
         raise PreconditionError(
             f"subgroup of size {G.order} is not maximal on {G.n} sites"

@@ -222,7 +222,7 @@ def is_abelian(K: PauliSubgroup) -> bool:
     return not _chi_rows(K._gens, K._gens, K.d).any()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterMatrix:
     """Full table of commutation phases over all classes of P_n.
 
@@ -310,24 +310,23 @@ def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
 
 
 def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
-    """The subgroup H of the floor(k/2) encoded qubits of a qubit Abelian K of size 2^k.
+    """The subgroup H of the floor(k/2) encoded qudits of an Abelian K of size d^k.
 
     With g = generating_set(K) and h = symplectic_partners(K), so that h_j is
-    X_j in a Clifford frame where g_j is Z_j, encoded qubit i is generated by
-    h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i}: X at site 2i and Y at sites
-    2i-1 and 2i of that frame.  Every non-identity class of H anticommutes with
-    some g_j, so H meets Ann K only in the identity and the group channel of K
-    privatizes span H = M_{2^floor(k/2)} (x) I.  For the diagonal group the
-    pairs are X_{2i} and Y_{2i-1} Y_{2i} themselves.
+    X_j in a Clifford frame where g_j is Z_j, encoded qudit i is generated by
+    a = h_{2i} and b = h_{2i-1} h_{2i} g_{2i-1} g_{2i}, that is X_{2i} and
+    (XZ)_{2i-1} (XZ)_{2i} in that frame.  The x-exponents of a^s b^t there are
+    (t, s + t), so H meets Ann K only in the identity, and chi(a, b) = omega, so
+    the group channel of K privatizes span H = M_{d^floor(k/2)} (x) I.  For the
+    diagonal qubit group the pairs are X_{2i} and Y_{2i-1} Y_{2i}.  Any d >= 2;
+    a K with a Howell pivot entry other than 1 has no partners and is refused.
     """
-    if K.d != 2:
-        raise PreconditionError("the qubit pipeline requires d = 2")
     if not is_abelian(K):
         raise PreconditionError("subgroup must be Abelian")
-    g, h = K._gens, _partner_rows(K._gens, 2)
+    g, h = K._gens, _partner_rows(K._gens, K.d)
     # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
     encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]])
-    return PauliSubgroup._from_howell(2, K.n, *_howell(encoded, 2))
+    return PauliSubgroup._from_howell(K.d, K.n, *_howell(encoded, K.d))
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:

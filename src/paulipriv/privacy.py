@@ -44,7 +44,7 @@ _QUASI_TOL = 1e-9
 _PRIVACY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivacyCertificate:
     """Outcome of a privatization check.
 

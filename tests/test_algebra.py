@@ -24,7 +24,7 @@ from paulipriv import (
     structure_type,
     subgroup_algebra,
 )
-from paulipriv import close
+from paulipriv import character_matrix, check_privatized_subgroup, close, diagonal_subgroup
 from paulipriv.algebra import _append_independent, superoperator
 from helpers import (
     X2,
@@ -449,6 +449,18 @@ def test_apply_channel_preserves_trace():
 def test_channel_requires_trace_preservation():
     with pytest.raises(PreconditionError):
         Channel(np.array([np.eye(2) * 0.5]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: diagonal_algebra(4),
+    lambda: Channel.identity(2),
+    lambda: character_matrix(2, 1),
+    lambda: check_privatized_subgroup(diagonal_subgroup(2, 2), diagonal_subgroup(2, 2)),
+])
+def test_array_holding_records_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_choi_of_identity_channel():

@@ -223,9 +223,17 @@ def test_privacy_certify_construct_qubit_bytes_pinned(capsys):
     res = payload(out)
     assert res["inputs"]["hashes"] == {
         "algebra": "1bb3c60dc5291034b9bacc26a41d0284af8b84a91c998cd3a07a8dfd09c2f879",
-        "channel": "067e6091a87ac5e03ab1150015a443854313024b039050ea586aeb4ac04da92b",
+        "group": "0377b0835d75cbd8b620f211b79cfa7b29b5247846a3aaf9b92c699bb1f0c5f8",
     }
     assert res["max_deviation"] == 0.0
+
+
+def test_privacy_certify_construct_qutrits(capsys):
+    code, out, _ = run(capsys, "privacy", "certify", "--d", "3",
+                       "--group", "X2Z1:I,I:X1Z1", "--construct")
+    assert code == 0
+    res = payload(out)
+    assert res["verdict"] is True and len(res["per_basis_deviation"]) == 9
 
 
 def test_privacy_certify_identity_channel_fails(capsys):
@@ -357,6 +365,8 @@ QUQUART_SITES = ",".join(
     ["channel", "condexp", "--algebra", "delta100000"],
     # all 4^8 = 65536 classes of four ququart sites, each a 256 x 256 matrix
     ["channel", "condexp", "--algebra", QUQUART_SITES, "--d", "4"],
+    ["channel", "condexp", "--algebra", "scalars", "--n", "13"],
+    ["privacy", "certify", "--channel", "identity", "--n", "13", "--algebra", "scalars"],
 ])
 def test_dense_size_bound_exit_3_without_allocating(capsys, argv):
     tracemalloc.start()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipriv import (
@@ -191,11 +191,11 @@ def test_max_pipeline_preconditions():
     with pytest.raises(PreconditionError):
         private_algebra_for_max_abelian(close([cls("ZI")]))  # not maximal
     with pytest.raises(PreconditionError):
-        private_algebra_for_max_abelian(close([cls("X1Z1:I", 3)]))  # d != 2
-    with pytest.raises(PreconditionError, match="d = 2"):
-        private_algebra_for_max_abelian(diagonal_subgroup(3, 2))  # maximal, d != 2
+        private_algebra_for_max_abelian(close([cls("X1Z1:I", 3)]))  # not maximal
     with pytest.raises(PreconditionError, match="Abelian"):
         private_algebra_for_max_abelian(close([cls("XI"), cls("ZI")]))  # size 4, not Abelian
+    alg, cert = private_algebra_for_max_abelian(diagonal_subgroup(3, 2))  # maximal, d = 3
+    assert cert.verdict and structure_type(alg)[0].blocks == ((3, 3),)
 
 
 def test_pipeline_refuses_a_group_above_the_len_limit_by_its_size_bound():
@@ -319,4 +319,51 @@ def test_property_pipeline_against_dense_oracle(case):
     assert oracle.verdict == cert.verdict
     assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
     assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)
+
+
+def test_two_qutrit_demo_group_through_the_pipeline():
+    K = close([cls("X2Z1:I", 3), cls("I:X1Z1", 3)])
+    alg, cert = private_algebra_for_max_abelian(K)
+    assert cert.verdict and np.array_equal(cert.rho0, np.eye(9) / 9)
+    assert structure_type(alg)[0].blocks == ((3, 3),)
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)
+
+
+@st.composite
+def qudit_abelian_case(draw):
+    """(d, n, commuting independent rows) with d^n <= 64: transvected Z's over Z_d.
+
+    The sizes and moves come from one drawn seed, so that derandomized examples
+    spread over n, k and the moves instead of clustering at the smallest draws.
+    """
+    d = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, {2: 6, 3: 3, 4: 3, 5: 2, 6: 2}[d] + 1))
+    k = int(rng.integers(0, n + 1))
+    rows = np.zeros((k, 2 * n), dtype=np.int64)
+    rows[np.arange(k), n + np.arange(k)] = 1
+    moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d)))
+             for _ in range(rng.integers(0, 7))]
+    return d, n, transvect(rows, moves, d).tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(qudit_abelian_case())
+@example((6, 2, [[1, 0, 1, 0], [0, 1, 0, 1]]))  # XZ on each site: one private qudit
+@example((4, 1, [[2, 1]]))  # <X^2 Z> over Z_4: Howell rows (2, 1), (0, 2), refused
+def test_property_qudit_pipeline_against_dense_oracle(case):
+    d, n, rows = case
+    K = close([PauliClass(d, n, r[:n], r[n:]) for r in rows], d=d, n=n)
+    if any(h[c] != 1 for h, c in zip(K._gens, K._pivots)):
+        with pytest.raises(PreconditionError, match="no symplectic partner"):
+            private_algebra_for_abelian(K)
+        return
+    N, m = d**n, len(rows) // 2
+    alg, cert = private_algebra_for_abelian(K)
+    oracle = check_privatized_algebra(channel_from_subgroup(K), alg)
+    assert cert.verdict and oracle.verdict
+    assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
+    assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
+    assert structure_type(alg)[0].blocks == ((N // d**m, d**m),)
     assert is_quasiorthogonal(subgroup_algebra(K), alg)
