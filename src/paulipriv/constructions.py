@@ -262,12 +262,12 @@ def two_qutrit_demo(perturb: bool = False) -> TwoQutritReport:
     return TwoQutritReport(checks=tuple(checks), block_scale=scale)
 
 
-def phase_flip_demo(trials: int = 100, seed: int = 2016) -> tuple[float, np.ndarray]:
+def phase_flip_demo(seed: int = 2016) -> tuple[float, np.ndarray]:
     """Sweep random encoded states through the two-qubit phase-flip channel.
 
     Returns the worst deviation of the outputs from I/4 and the fixed state,
-    over ``trials`` random positive unit-trace inputs in the span of the
-    privatized algebra.
+    over 100 random positive unit-trace inputs in the span of the privatized
+    algebra.
     """
     group = close(
         [PauliClass(2, 2, (0, 0), (1, 0)), PauliClass(2, 2, (0, 0), (0, 1))]
@@ -281,7 +281,7 @@ def phase_flip_demo(trials: int = 100, seed: int = 2016) -> tuple[float, np.ndar
     eye4 = np.eye(4, dtype=complex)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         c = rng.standard_normal(3)
         c *= rng.random() ** (1 / 3) / np.linalg.norm(c)  # uniform in the unit ball
         rho = (eye4 + c[0] * basis["IX"] + c[1] * basis["YY"] + c[2] * basis["YZ"]) / 4

@@ -126,14 +126,15 @@ class QuasiorthogonalityReport:
 def quasiorth_condition_suite(
     A: OperatorAlgebra, B: OperatorAlgebra, tol: float = _QUASI_TOL
 ) -> QuasiorthogonalityReport:
-    """Evaluate all four quasiorthogonality conditions independently.
+    """Evaluate the four quasiorthogonality conditions; three are independent.
 
-    Conditions (1) and (2) come from the trace pairing of the two bases.
-    Conditions (3) and (4) come from the superoperators S_A and S_B of the
-    two conditional expectations, not from the bases, so they cross-check
-    (2): (3) is the largest entry of S_A vec(b) - tr(b)/N vec(I) over the
-    basis of B, one matrix product for the whole basis, and the same with A
-    and B swapped; (4) compares S_A S_B and S_B S_A with vec(I) vec(I)^T / N.
+    Condition (2) comes from the trace pairing of the two bases, and (1) is N
+    times (2), not a separate evaluation.  Conditions (3) and (4) come from
+    the superoperators S_A and S_B of the two conditional expectations, not
+    from the bases, so they cross-check (2): (3) is the largest entry of
+    S_A vec(b) - tr(b)/N vec(I) over the basis of B, one matrix product for
+    the whole basis, and the same with A and B swapped; (4) compares S_A S_B
+    and S_B S_A with vec(I) vec(I)^T / N.
     """
     _check_same_dim(A, B)
     n = A.N
@@ -227,9 +228,6 @@ def check_private_subsystem(
     dim_a: int,
     dim_b: int,
     sigma_a,
-    *,
-    channel_description: str = "channel",
-    subject_description: str = "subsystem",
 ) -> PrivacyCertificate:
     """Certify a private subsystem behind the isometry V: A (x) B -> H.
 
@@ -265,8 +263,7 @@ def check_private_subsystem(
             out = apply_channel(phi, v @ np.kron(sigma, unit) @ v.conj().T)
             target = rho0 if j == k else 0.0
             per_basis.append(float(np.abs(out - target).max()))
-    return _certificate(rho0, per_basis, _PRIVACY_TOL, channel_description,
-                        subject_description, None)
+    return _certificate(rho0, per_basis, _PRIVACY_TOL, "channel", "subsystem", None)
 
 
 def kraus_mutually_commuting(phi: Channel) -> bool:

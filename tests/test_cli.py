@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests via main()."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulipriv import parse_pauli
-from paulipriv.cli import main
+from paulipriv import channel_from_subgroup, close, parse_pauli
+from paulipriv.cli import build_parser, main
 from paulipriv.serialize import (
+    channel_to_obj,
     operator_from_obj,
     operator_to_obj,
     read_json,
@@ -30,6 +32,110 @@ def run(capsys, *argv):
 
 def payload(stdout):
     return json.loads(stdout)["result"]
+
+
+# The options of each command besides -h: the ones its handler reads, and no other.
+COMMON = {"--format", "--no-timestamp"}
+OPTIONS = {
+    "group close": COMMON | {"--d", "--n", "--out", "--gens"},
+    "group abelian": COMMON | {"--d", "--n", "--gens"},
+    "group annihilator": COMMON | {"--d", "--n", "--out", "--gens"},
+    "group extend": COMMON | {"--d", "--n", "--out", "--gens"},
+    "group charmatrix": COMMON | {"--d", "--n", "--out"},
+    "channel from-group": COMMON | {"--d", "--n", "--out", "--gens"},
+    "channel condexp": COMMON | {"--d", "--n", "--out", "--algebra"},
+    "channel apply": COMMON | {"--out", "--in", "--state"},
+    "channel choi-equal": COMMON | {"--tol", "--a", "--b"},
+    "privacy quasiorth": COMMON | {"--d", "--n", "--tol", "--a", "--b"},
+    "privacy certify": COMMON | {"--d", "--n", "--tol", "--out", "--group", "--channel",
+                                 "--in", "--algebra", "--construct"},
+    "demo phaseflip": COMMON | {"--seed"},
+    "demo qutrit": COMMON | {"--perturb"},
+}
+
+# A valid argv for each command; {chan} and {rho} name the files of `files`.
+MINIMAL = {
+    "group close": ["--gens", "ZI"],
+    "group abelian": ["--gens", "ZI"],
+    "group annihilator": ["--gens", "ZI"],
+    "group extend": ["--gens", "ZI"],
+    "group charmatrix": ["--n", "1"],
+    "channel from-group": ["--gens", "ZI,IZ"],
+    "channel condexp": ["--algebra", "delta4"],
+    "channel apply": ["--in", "{chan}", "--state", "{rho}"],
+    "channel choi-equal": ["--a", "{chan}", "--b", "{chan}"],
+    "privacy quasiorth": ["--a", "delta4", "--b", "II,IX,YY,YZ"],
+    "privacy certify": ["--group", "ZI,IZ", "--construct"],
+    "demo phaseflip": [],
+    "demo qutrit": [],
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    """The group channel of <ZI, IZ> and the state I/4, as JSON files."""
+    chan, rho = tmp_path / "chan.json", tmp_path / "rho.json"
+    write_json(chan, channel_to_obj(channel_from_subgroup(
+        close([parse_pauli(s).pauli_class() for s in ("ZI", "IZ")]))))
+    write_json(rho, operator_to_obj(np.eye(4, dtype=complex) / 4))
+    return {"chan": str(chan), "rho": str(rho)}
+
+
+def command_argv(command, files):
+    return [*command.split(), *(a.format(**files) for a in MINIMAL[command])]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    options = {
+        f"{topic} {action}": {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for topic, tp in _subcommands(build_parser()).items()
+        for action, p in _subcommands(tp).items()
+    }
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_every_command_with_out_writes_it(capsys, files, tmp_path, command):
+    path = tmp_path / "written"
+    code, _, err = run(capsys, *command_argv(command, files), "--out", str(path))
+    if "--out" in OPTIONS[command]:
+        assert code in (0, 1) and path.stat().st_size > 0
+    else:
+        assert code == 2 and "unrecognized arguments: --out" in err
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # one channel source: --group, --channel or --in
+    (["privacy", "certify", "--channel", "identity", "--n", "2", "--group", "ZI,IZ",
+      "--algebra", "II,IX,YY,YZ"], "--group"),
+    (["privacy", "certify", "--in", "{chan}", "--group", "XI", "--algebra", "IX"], "--group"),
+    # one subject: --algebra or --construct, and --construct's certificate takes no --tol
+    (["privacy", "certify", "--group", "ZI,IZ", "--construct", "--algebra", "delta4"],
+     "--algebra"),
+    (["privacy", "certify", "--group", "ZI,IZ", "--construct", "--tol", "0.5"], "--tol"),
+    # --out on the commands that write nothing
+    (["group", "abelian", "--gens", "ZI", "--out", "{chan}.out"], "--out"),
+    (["channel", "choi-equal", "--a", "{chan}", "--b", "{chan}", "--out", "{chan}.out"],
+     "--out"),
+    (["privacy", "quasiorth", "--a", "delta4", "--b", "delta4", "--out", "{chan}.out"],
+     "--out"),
+    (["demo", "phaseflip", "--out", "{chan}.out"], "--out"),
+    (["demo", "qutrit", "--out", "{chan}.out"], "--out"),
+    # flags a command does not read, abbreviations included
+    (["channel", "condexp", "--algebra", "IX,YY", "--seed", "7"], "--seed"),
+    (["group", "abelian", "--gens", "ZI", "--tol", "1e-6"], "--tol"),
+    (["demo", "qutrit", "--n", "2"], "--n"),  # not read as --no-timestamp
+])
+def test_conflicting_or_unread_flag_exit_2(capsys, files, argv, flag):
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 2 and out == ""
+    assert flag in err
 
 
 def test_group_extend_already_maximal(capsys):
@@ -163,13 +269,13 @@ def test_channel_condexp_scalars_depolarizes(capsys, tmp_path):
     assert np.abs(operator_from_obj(read_json(outp)) - np.eye(2) / 2).max() < 1e-10
 
 
-def test_channel_condexp_does_not_depend_on_seed(capsys, tmp_path):
-    # the decomposition uses its own fixed seed; --seed seeds only demo phaseflip
+def test_channel_condexp_is_deterministic(capsys, tmp_path):
+    # the decomposition uses its own fixed seed, so reruns write the same bytes
     files = []
-    for seed in ("7", "2016"):
-        files.append(tmp_path / f"ce_{seed}.json")
+    for i in range(2):
+        files.append(tmp_path / f"ce_{i}.json")
         code, _, _ = run(capsys, "channel", "condexp", "--algebra", "IX,YY",
-                         "--seed", seed, "--out", str(files[-1]))
+                         "--out", str(files[-1]))
         assert code == 0
     assert files[0].read_bytes() == files[1].read_bytes()
 
@@ -286,11 +392,24 @@ def test_json_determinism(capsys):
     assert out1 == out2
 
 
-def test_seed_and_tolerance_echoed(capsys):
-    _, out, _ = run(capsys, "group", "abelian", "--gens", "ZI",
-                    "--seed", "7", "--tol", "1e-6")
-    doc = json.loads(out)
-    assert doc["seed"] == 7 and doc["tolerance"] == 1e-6
+def test_seed_and_tolerance_echoed(capsys, files):
+    # each key is echoed by the commands that read its flag, and only by them
+    for command in OPTIONS:
+        code, out, _ = run(capsys, *command_argv(command, files))
+        assert code in (0, 1), command
+        doc = json.loads(out)
+        assert ("seed" in doc) == ("--seed" in OPTIONS[command]), command
+        assert ("tolerance" in doc) == ("--tol" in OPTIONS[command]), command
+    _, out, _ = run(capsys, "demo", "phaseflip", "--seed", "7")
+    assert json.loads(out)["seed"] == 7
+    _, out, _ = run(capsys, *command_argv("channel choi-equal", files), "--tol", "1e-6")
+    assert json.loads(out)["tolerance"] == 1e-6
+    _, out, _ = run(capsys, "privacy", "certify", "--group", "ZI,IZ", "--algebra", "delta4",
+                    "--tol", "1e-6")
+    assert json.loads(out)["tolerance"] == 1e-6
+    # the exact certificate records the default, and so does the envelope
+    _, out, _ = run(capsys, *command_argv("privacy certify", files))
+    assert json.loads(out)["tolerance"] == json.loads(out)["result"]["tolerance"] == 1e-8
 
 
 def test_parse_error_exit_2(capsys):
@@ -333,8 +452,8 @@ def test_undecodable_json_exit_2(capsys, tmp_path):
     ["channel", "condexp", "--algebra", "full", "--n", "1", "--d", "-2"],
     ["privacy", "certify", "--channel", "identity", "--n", "-1", "--algebra", "scalars"],
     ["group", "close", "--gens", "", "--n", "0"],
-    ["demo", "phaseflip", "--d", "1"],
-    ["channel", "condexp", "--algebra", "IX,ZI", "--seed", "-1"],
+    ["privacy", "quasiorth", "--a", "delta2", "--b", "delta2", "--d", "1"],
+    ["demo", "phaseflip", "--seed", "-1"],
 ])
 def test_bad_d_n_or_seed_exit_3(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -460,8 +579,14 @@ def pauli_list(draw, d, wide=False):
     return ",".join(tokens)
 
 
+# the value given to a flag that the drawn command does not take
+LACKED_VALUE = {"--d": "2", "--n": "1", "--seed": "2016", "--tol": "1e-8", "--out": "x.json"}
+
+
 @st.composite
 def fuzz_argv(draw, root):
+    """(argv, lacked): argv for one command with the flags it takes, and in at
+    most one draw in six one more flag it does not take, named by ``lacked``."""
     # d and n in -2..4, the seed 2016 or negative; at most one of the three invalid
     d = draw(st.integers(2, 4))
     n = draw(st.none() | st.integers(1, 4))
@@ -515,12 +640,17 @@ def fuzz_argv(draw, root):
                 argv += ["--algebra", draw(algebra)]
     else:
         argv = ["demo", draw(st.sampled_from(["phaseflip", "qutrit"]))]
-    argv += ["--d", str(d), "--seed", str(seed)]
-    if n is not None:
-        argv += ["--n", str(n)]
-    if draw(st.booleans()):
+    takes = OPTIONS[" ".join(argv[:2])]
+    for flag, value in (("--d", d), ("--seed", seed), ("--n", n)):
+        if flag in takes and value is not None:
+            argv += [flag, str(value)]
+    if "--out" in takes and draw(st.booleans()):
         argv += ["--out", draw(st.sampled_from([str(root), str(root / "no" / "out.json")]))]
-    return argv
+    lacked = None
+    if draw(st.sampled_from([False] * 5 + [True])):
+        lacked = draw(st.sampled_from([f for f in LACKED_VALUE if f not in takes]))
+        argv += [lacked, LACKED_VALUE[lacked]]
+    return argv, lacked
 
 
 def single_site_zs(n):
@@ -531,16 +661,21 @@ def test_fuzz_main_exits_0_to_3_without_raising(fuzz_dir):
     # derandomized draws seldom build a valid large group; these reach exit 0
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fuzz_argv(fuzz_dir))
-    @example(["group", "abelian", "--gens", single_site_zs(64)])
-    @example(["group", "close", "--gens", single_site_zs(12)])
-    @example(["group", "annihilator", "--gens", single_site_zs(12)])
-    @example(["group", "extend", "--gens", single_site_zs(6)])
-    @example(["group", "close", "--d", "3", "--gens", "X1:Z1:I,Z1:I:X2"])
-    def check(argv):
+    @example((["group", "abelian", "--gens", single_site_zs(64)], None))
+    @example((["group", "close", "--gens", single_site_zs(12)], None))
+    @example((["group", "annihilator", "--gens", single_site_zs(12)], None))
+    @example((["group", "extend", "--gens", single_site_zs(6)], None))
+    @example((["group", "close", "--d", "3", "--gens", "X1:Z1:I,Z1:I:X2"], None))
+    def check(case):
+        argv, lacked = case
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv + BASE)
-        assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue()
+        if lacked:
+            assert code == 2 and f"unrecognized arguments: {lacked}" in err.getvalue()
+        else:
+            # every flag was taken, so the argv reached its handler
+            assert code in (0, 1, 2, 3) and "usage:" not in err.getvalue(), (argv, code)
 
     check()

@@ -292,36 +292,6 @@ def test_abelian_channels_always_commute():
         assert kraus_mutually_commuting(channel_from_subgroup(K))
 
 
-@st.composite
-def qubit_abelian_case(draw):
-    """(n, commuting independent qubit rows) for n <= 5: transvected Z's."""
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(0, n))
-    rows = np.zeros((k, 2 * n), dtype=np.int64)
-    rows[np.arange(k), n + np.arange(k)] = 1
-    vec = st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)
-    moves = draw(st.lists(st.tuples(vec, st.just(1)), max_size=6))
-    return n, transvect(rows, moves, 2).tolist()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(qubit_abelian_case())
-def test_property_pipeline_against_dense_oracle(case):
-    n, rows = case
-    K = close([PauliClass(2, n, r[:n], r[n:]) for r in rows], d=2, n=n)
-    k = len(rows)
-    alg, cert = private_algebra_for_abelian(K)
-    assert alg.dim == 4 ** (k // 2)
-    assert same_span(alg, span_closure(alg.basis))  # closed *-algebra
-    assert cert.verdict
-    assert np.abs(cert.rho0 - np.eye(2**n) / 2**n).max() < 1e-12
-    oracle = check_privatized_algebra(channel_from_subgroup(K), alg)
-    assert oracle.verdict == cert.verdict
-    assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
-    assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
-    assert is_quasiorthogonal(subgroup_algebra(K), alg)
-
-
 def test_two_qutrit_demo_group_through_the_pipeline():
     K = close([cls("X2Z1:I", 3), cls("I:X1Z1", 3)])
     alg, cert = private_algebra_for_max_abelian(K)
@@ -348,10 +318,28 @@ def qudit_abelian_case(draw):
     return d, n, transvect(rows, moves, d).tolist()
 
 
+# (x | z) rows of qubit stabilizers, k = 4 and 6, so two and three private qubits
+FOUR_QUBIT_STABILIZERS = [  # ZZII, IZZI, IIZZ, XXXX
+    [0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0],
+    [0, 0, 0, 0, 0, 0, 1, 1], [1, 1, 1, 1, 0, 0, 0, 0],
+]
+FIVE_QUBIT_CODE = [  # XZZXI and its cyclic shifts
+    [1, 0, 0, 1, 0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1, 1, 0],
+    [1, 0, 1, 0, 0, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1, 0, 0, 0, 1],
+]
+SIX_QUBIT_RING = [  # X_i Z_{i-1} Z_{i+1}, the graph state of a 6-cycle
+    [int(j == i) for j in range(6)] + [int((j - i) % 6 in (1, 5)) for j in range(6)]
+    for i in range(6)
+]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(qudit_abelian_case())
 @example((6, 2, [[1, 0, 1, 0], [0, 1, 0, 1]]))  # XZ on each site: one private qudit
 @example((4, 1, [[2, 1]]))  # <X^2 Z> over Z_4: Howell rows (2, 1), (0, 2), refused
+@example((2, 4, FOUR_QUBIT_STABILIZERS))
+@example((2, 5, FIVE_QUBIT_CODE))
+@example((2, 6, SIX_QUBIT_RING))
 def test_property_qudit_pipeline_against_dense_oracle(case):
     d, n, rows = case
     K = close([PauliClass(d, n, r[:n], r[n:]) for r in rows], d=d, n=n)
@@ -361,6 +349,7 @@ def test_property_qudit_pipeline_against_dense_oracle(case):
         return
     N, m = d**n, len(rows) // 2
     alg, cert = private_algebra_for_abelian(K)
+    assert same_span(alg, span_closure(alg.basis))  # closed *-algebra
     oracle = check_privatized_algebra(channel_from_subgroup(K), alg)
     assert cert.verdict and oracle.verdict
     assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
