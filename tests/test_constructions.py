@@ -292,6 +292,36 @@ def test_abelian_channels_always_commute():
         assert kraus_mutually_commuting(channel_from_subgroup(K))
 
 
+@st.composite
+def qubit_abelian_case(draw):
+    """(n, commuting independent qubit rows) for n <= 5: transvected Z's."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    rows = np.zeros((k, 2 * n), dtype=np.int64)
+    rows[np.arange(k), n + np.arange(k)] = 1
+    vec = st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)
+    moves = draw(st.lists(st.tuples(vec, st.just(1)), max_size=6))
+    return n, transvect(rows, moves, 2).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(qubit_abelian_case())
+def test_property_pipeline_against_dense_oracle(case):
+    n, rows = case
+    K = close([PauliClass(2, n, r[:n], r[n:]) for r in rows], d=2, n=n)
+    k = len(rows)
+    alg, cert = private_algebra_for_abelian(K)
+    assert alg.dim == 4 ** (k // 2)
+    assert same_span(alg, span_closure(alg.basis))  # closed *-algebra
+    assert cert.verdict
+    assert np.abs(cert.rho0 - np.eye(2**n) / 2**n).max() < 1e-12
+    oracle = check_privatized_algebra(channel_from_subgroup(K), alg)
+    assert oracle.verdict == cert.verdict
+    assert np.abs(np.subtract(oracle.per_basis, cert.per_basis)).max() < 1e-12
+    assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)
+
+
 def test_two_qutrit_demo_group_through_the_pipeline():
     K = close([cls("X2Z1:I", 3), cls("I:X1Z1", 3)])
     alg, cert = private_algebra_for_max_abelian(K)
