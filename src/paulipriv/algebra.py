@@ -261,21 +261,27 @@ class StructureType:
         return iter(self.blocks)
 
 
+def _block_average(x: np.ndarray, blocks, u: np.ndarray | None = None) -> np.ndarray:
+    """E_A on a stack x, O(len(x) N^3): each I_k (x) M_q block of U x U^dag becomes
+    I_k (x) the mean of its k diagonal q x q blocks, the rest is dropped, and U^dag
+    maps back.  Without ``u``, x and the result are in the block frame."""
+    y = x if u is None else u @ x @ u.conj().T
+    out = np.zeros_like(y)
+    offset = 0
+    for k, q in blocks:
+        span = slice(offset, offset + k * q)
+        avg = np.einsum("niaib->nab", y[:, span, span].reshape(-1, k, q, k, q)) / k
+        out[:, span, span] = np.einsum("ij,nab->niajb", np.eye(k), avg).reshape(-1, k * q, k * q)
+        offset += k * q
+    return out if u is None else u.conj().T @ out @ u
+
+
 def _verify_block_form(u: np.ndarray, A: OperatorAlgebra, blocks) -> None:
     """Raise unless U a U^dag lies in sum_i I_k (x) M_q for every basis element."""
     if np.abs(u @ u.conj().T - np.eye(A.N)).max() > 1e-10:
         raise NumericalAmbiguityError("structure unitary failed the unitarity check")
     m = u @ A.basis @ u.conj().T
-    recon = np.zeros_like(m)
-    offset = 0
-    for k, q in blocks:
-        span = slice(offset, offset + k * q)
-        avg = np.einsum("niaib->nab", m[:, span, span].reshape(-1, k, q, k, q)) / k
-        recon[:, span, span] = np.einsum("ij,nab->niajb", np.eye(k), avg).reshape(
-            -1, k * q, k * q
-        )
-        offset += k * q
-    dev = np.abs(m - recon).max()
+    dev = np.abs(m - _block_average(m, blocks)).max()
     if dev > _BLOCK_TOL:
         raise NumericalAmbiguityError(
             f"block form deviates by {dev:.3e}, above the tolerance {_BLOCK_TOL:.1e}"

@@ -52,18 +52,21 @@ _DEFAULT_TOL = 1e-8
 _QUASI_TOL = 1e-9
 
 
-def _parse_gens(text: str, d: int):
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    return [parse_pauli(t, d=d).pauli_class() for t in tokens]
+def _check_n(d: int, n: int | None, N: int, what: str) -> None:
+    if n is not None and d**n != N:
+        raise FormatError(f"argument --n: d^n = {d}^{n} disagrees with N = {N} of {what}")
 
 
-def _group_from_args(args) -> "PauliSubgroup":
-    gens = _parse_gens(args.gens or "", args.d)
-    if gens:
-        return close(gens)
-    if args.n is None:
-        raise PreconditionError("--n is required when --gens is empty")
-    return close((), d=args.d, n=args.n)
+def _close_gens(text: str, d: int, n: int | None) -> "PauliSubgroup":
+    """The subgroup generated by comma-separated Pauli strings, on --n sites if given."""
+    gens = [parse_pauli(t.strip(), d=d).pauli_class() for t in text.split(",") if t.strip()]
+    if not gens:
+        if n is None:
+            raise PreconditionError("--n is required when --gens is empty")
+        return close((), d=d, n=n)
+    K = close(gens)
+    _check_n(d, n, d**K.n, f"the {K.n}-site generators")
+    return K
 
 
 _NAMED_ALGEBRA_RE = re.compile(r"^delta(\d+)$")
@@ -73,6 +76,7 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
     """Resolve an algebra: named (scalars/full/delta<N>), Pauli list, or file."""
     m = _NAMED_ALGEBRA_RE.match(text)
     if m:
+        _check_n(d, n, int(m.group(1)), f"the algebra {text!r}")
         return diagonal_algebra(int(m.group(1)))
     if text in ("scalars", "full"):
         if n is None:
@@ -80,11 +84,14 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
         dim = d**n
         return scalar_algebra(dim) if text == "scalars" else full_matrix_algebra(dim)
     if text.endswith(".json"):
-        return serialize.algebra_from_obj(serialize.read_json(text))
-    elems = [parse_pauli(t.strip(), d=d) for t in text.split(",") if t.strip()]
-    if not elems:
-        raise FormatError(f"empty algebra description {text!r}")
-    return subgroup_algebra(close(elems))
+        alg = serialize.algebra_from_obj(serialize.read_json(text))
+    else:
+        elems = [parse_pauli(t.strip(), d=d) for t in text.split(",") if t.strip()]
+        if not elems:
+            raise FormatError(f"empty algebra description {text!r}")
+        alg = subgroup_algebra(close(elems))
+    _check_n(d, n, alg.N, f"the algebra {text!r}")
+    return alg
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_subgroup(args) -> int:
-    K = _group_from_args(args)
+    K = _close_gens(args.gens, args.d, args.n)
     if args.action == "annihilator":
         K = annihilator(K)
     elif args.action == "extend":
@@ -192,7 +199,7 @@ def _cmd_subgroup(args) -> int:
 
 
 def _cmd_abelian(args) -> int:
-    K = _group_from_args(args)
+    K = _close_gens(args.gens, args.d, args.n)
     verdict = is_abelian(K)
     _emit(args, {"abelian": verdict, "size": K.order},
           [f"abelian: {verdict} (size {K.order})"])
@@ -218,7 +225,7 @@ def _cmd_charmatrix(args) -> int:
 
 
 def _cmd_from_group(args) -> int:
-    phi = channel_from_subgroup(_group_from_args(args))
+    phi = channel_from_subgroup(_close_gens(args.gens, args.d, args.n))
     if args.out:
         serialize.write_json(args.out, serialize.channel_to_obj(phi))
     _emit(args, {"N": phi.N, "kraus_count": len(phi.kraus)},
@@ -285,7 +292,7 @@ def _certify_channel(args) -> tuple[Channel, str]:
     if args.group is not None:
         if not args.group.strip():
             raise PreconditionError("--group needs at least one generator")
-        K = close(_parse_gens(args.group, args.d))
+        K = _close_gens(args.group, args.d, args.n)
         return channel_from_subgroup(K), f"group channel from {args.group!r}"
     raise PreconditionError("certify needs --group, --channel or --in")
 
@@ -294,11 +301,14 @@ def _cmd_certify(args) -> int:
     if args.construct and args.tol is not None:
         raise FormatError("argument --tol: not allowed with argument --construct, "
                           f"whose certificate is exact and records {_DEFAULT_TOL:g}")
+    source = "--in" if args.infile is not None else "--channel" if args.channel else None
+    if args.construct and source:  # --construct reads only --group
+        raise FormatError(f"argument {source}: not allowed with argument --construct")
     args.tol = _DEFAULT_TOL if args.tol is None else args.tol
     if args.construct:
         if not args.group:
             raise PreconditionError("--construct needs --group")
-        K = close(_parse_gens(args.group, args.d))
+        K = _close_gens(args.group, args.d, args.n)
         alg, cert = private_algebra_for_abelian(K)
         # |K| <= N <= 4096 rows, since the certificate passed its rho0 bound
         hashes = {"group": serialize.sha256_of_array(K.rows),

@@ -11,7 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from paulipriv import PauliClass, all_classes, annihilator, close
+from paulipriv import PauliClass, all_classes, annihilator, close, conditional_expectation
+from paulipriv.algebra import superoperator
 
 W3 = np.exp(2j * np.pi / 3)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -207,3 +208,24 @@ def product_closure(ops, N: int | None = None, cut: float = 1e-8) -> np.ndarray:
         stack = extend(stack, cands)
         pending.extend(range(before, len(stack)))
     return stack
+
+
+def superoperator_conditions(A, B) -> tuple[float, float]:
+    """Quasiorthogonality conditions (3) and (4) from the N^2 x N^2 superoperators.
+
+    S_A and S_B are the superoperators of the two conditional-expectation
+    channels.  (3) is the largest entry of S_A vec(b) - tr(b)/N vec(I) over the
+    basis of B and the same with A and B swapped; (4) is the largest entry of
+    S_A S_B - vec(I) vec(I)^T / N and of S_B S_A - the same.  O(N^6).
+    """
+    n = A.N
+    vec_eye = np.eye(n, dtype=complex).reshape(-1)
+    sa = superoperator(conditional_expectation(A))
+    sb = superoperator(conditional_expectation(B))
+    dev3 = max(
+        np.abs(s @ Y.rows().T - np.outer(vec_eye, np.einsum("jaa->j", Y.basis)) / n).max()
+        for s, Y in ((sa, B), (sb, A))
+    )
+    target = np.outer(vec_eye, vec_eye) / n
+    dev4 = max(np.abs(sa @ sb - target).max(), np.abs(sb @ sa - target).max())
+    return float(dev3), float(dev4)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulipriv import channel_from_subgroup, close, parse_pauli
+from paulipriv import channel_from_subgroup, close, diagonal_algebra, parse_pauli
 from paulipriv.cli import build_parser, main
 from paulipriv.serialize import (
+    algebra_to_obj,
     channel_to_obj,
     operator_from_obj,
     operator_to_obj,
@@ -73,12 +74,13 @@ MINIMAL = {
 
 @pytest.fixture
 def files(tmp_path):
-    """The group channel of <ZI, IZ> and the state I/4, as JSON files."""
-    chan, rho = tmp_path / "chan.json", tmp_path / "rho.json"
+    """The group channel of <ZI, IZ>, the state I/4 and the diagonal algebra of M_4, as JSON files."""
+    chan, rho, alg = tmp_path / "chan.json", tmp_path / "rho.json", tmp_path / "alg.json"
     write_json(chan, channel_to_obj(channel_from_subgroup(
         close([parse_pauli(s).pauli_class() for s in ("ZI", "IZ")]))))
     write_json(rho, operator_to_obj(np.eye(4, dtype=complex) / 4))
-    return {"chan": str(chan), "rho": str(rho)}
+    write_json(alg, algebra_to_obj(diagonal_algebra(4)))
+    return {"chan": str(chan), "rho": str(rho), "alg": str(alg)}
 
 
 def command_argv(command, files):
@@ -131,11 +133,47 @@ def test_every_command_with_out_writes_it(capsys, files, tmp_path, command):
     (["channel", "condexp", "--algebra", "IX,YY", "--seed", "7"], "--seed"),
     (["group", "abelian", "--gens", "ZI", "--tol", "1e-6"], "--tol"),
     (["demo", "qutrit", "--n", "2"], "--n"),  # not read as --no-timestamp
+    # --construct reads its channel from --group only
+    (["privacy", "certify", "--construct", "--in", "{chan}"], "--in"),
+    (["privacy", "certify", "--construct", "--channel", "identity", "--n", "2"], "--channel"),
 ])
 def test_conflicting_or_unread_flag_exit_2(capsys, files, argv, flag):
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 2 and out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "close", "--gens", "ZI", "--n", "5"],
+    ["group", "abelian", "--gens", "ZI,IZ", "--n", "3"],
+    ["group", "annihilator", "--d", "3", "--gens", "X1:I", "--n", "1"],
+    ["group", "extend", "--gens", "ZI", "--n", "1"],
+    ["channel", "from-group", "--gens", "ZI", "--n", "3"],
+    ["channel", "condexp", "--algebra", "delta4", "--n", "3"],
+    ["channel", "condexp", "--algebra", "IX,YY", "--n", "1"],
+    ["channel", "condexp", "--algebra", "{alg}", "--d", "3", "--n", "2"],
+    ["privacy", "quasiorth", "--a", "delta4", "--b", "delta4", "--d", "5", "--n", "7"],
+    ["privacy", "quasiorth", "--a", "delta4", "--b", "II,IX,YY,YZ", "--n", "3"],
+    ["privacy", "certify", "--group", "ZI,IZ", "--construct", "--n", "3"],
+    ["privacy", "certify", "--group", "ZI,IZ", "--algebra", "II,IX,YY,YZ", "--n", "1"],
+    ["privacy", "certify", "--in", "{chan}", "--algebra", "{alg}", "--n", "3"],
+    ["privacy", "certify", "--channel", "identity", "--n", "2", "--algebra", "delta8"],
+])
+def test_n_that_disagrees_with_the_input_exit_2(capsys, files, argv):
+    # --n must give d^n = N for the N of every generator list and algebra it comes with
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 2 and out == ""
+    assert "argument --n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "close", "--gens", "ZI"],
+    ["channel", "condexp", "--algebra", "delta4"],
+    ["privacy", "quasiorth", "--a", "delta4", "--b", "II,IX,YY,YZ"],
+    ["privacy", "certify", "--group", "ZI,IZ", "--construct"],
+])
+def test_n_that_agrees_with_the_input_changes_nothing(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv, "--n", "2")
 
 
 def test_group_extend_already_maximal(capsys):

@@ -36,6 +36,7 @@ from helpers import (
     random_abelian_subgroup,
     random_class,
     random_subgroup,
+    superoperator_conditions,
 )
 
 
@@ -148,6 +149,80 @@ def test_condition_suite_planted_pair_not_quasiorthogonal():
     report = quasiorth_condition_suite(alg, commutant(alg))
     assert report.verdicts == (False, False, False, False)
     assert abs(report.deviations[2] - condition3_oracle(alg, commutant(alg))) <= 1e-12
+
+
+def diagonal_in(u):
+    """The diagonal algebra of M_N conjugated by the unitary u."""
+    n = u.shape[0]
+    return OperatorAlgebra(np.einsum("ai,bi->iab", u, u.conj()).reshape(n, n, n))
+
+
+def differential_pairs(kind):
+    """Derandomized algebra pairs of one kind, each with its expected verdict or None."""
+    rng = np.random.default_rng(52)
+    if kind == "planted":  # a multi-block algebra and its commutant, N <= 24
+        for blocks in (((1, 2), (2, 1)), ((2, 3), (3, 2)), ((3, 4),), ((1, 4), (4, 2), (4, 1)),
+                       ((3, 3), (1, 5), (4, 1)), ((3, 4), (4, 3))):
+            n = sum(k * q for k, q in blocks)
+            alg = OperatorAlgebra(planted_basis(blocks, haar_unitary(rng, n)))
+            yield alg, commutant(alg), len(blocks) == 1
+    elif kind == "fourier":  # the diagonal algebra and its Fourier conjugate
+        for n in (5, 14, 18, 24):
+            u = haar_unitary(rng, n)
+            f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+            yield diagonal_in(u), diagonal_in(u @ f), True
+    else:  # spans of random Pauli subgroups
+        for d, n in ((2, 2), (2, 3), (3, 2)):
+            for _ in range(8):
+                yield (subgroup_algebra(random_subgroup(rng, d, n)),
+                       subgroup_algebra(random_subgroup(rng, d, n)), None)
+
+
+@pytest.mark.parametrize("kind", ["planted", "fourier", "pauli"])
+def test_condition_suite_matches_superoperator_oracle(kind):
+    verdicts = set()
+    for a, b, quasi in differential_pairs(kind):
+        report = quasiorth_condition_suite(a, b)
+        oracle = superoperator_conditions(a, b)
+        assert np.abs(np.subtract(report.deviations[2:], oracle)).max() <= 1e-12
+        assert report.verdicts[2:] == tuple(dev <= report.tolerance for dev in oracle)
+        assert report.consistent and quasi in (None, report.verdict)
+        verdicts.add(report.verdict)
+    assert verdicts == ({True} if kind == "fourier" else {True, False})
+
+
+def test_condition_suite_builds_no_superoperator_and_no_channel(monkeypatch):
+    import paulipriv.algebra as algebra_module
+    import paulipriv.privacy as privacy_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite built a superoperator or a channel")
+
+    monkeypatch.setattr(algebra_module, "superoperator", refuse)
+    monkeypatch.setattr(algebra_module, "conditional_expectation", refuse)
+    monkeypatch.setattr(algebra_module.Channel, "__post_init__", refuse)
+    assert not hasattr(privacy_module, "superoperator")
+    assert not hasattr(privacy_module, "conditional_expectation")
+    rng = np.random.default_rng(53)
+    alg = OperatorAlgebra(planted_basis(((2, 2), (1, 3)), haar_unitary(rng, 7)))
+    report = quasiorth_condition_suite(alg, commutant(alg))
+    assert report.verdicts == (False, False, False, False)
+
+
+def test_condition_suite_on_six_qubits_stays_small():
+    import tracemalloc
+
+    # the diagonal algebra and the span of the X-type Paulis, N = 64
+    x_type = close([parse_pauli("I" * i + "X" + "I" * (5 - i)).pauli_class() for i in range(6)])
+    a, b = diagonal_algebra(64), subgroup_algebra(x_type)
+    tracemalloc.start()
+    try:
+        report = quasiorth_condition_suite(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdicts == (True, True, True, True)
+    assert peak < 100 * 2**20
 
 
 def test_condexp_privatizes_iff_quasiorthogonal():
