@@ -415,6 +415,8 @@ class Channel:
             raise PreconditionError(
                 f"kraus stack must have shape (m, N, N), got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise PreconditionError("kraus operators have non-finite entries")
         total = np.einsum("kba,kbc->ac", arr.conj(), arr)
         if np.abs(total - np.eye(arr.shape[1])).max() > _TP_TOL:
             raise PreconditionError("kraus operators are not trace preserving")

@@ -17,7 +17,7 @@ the inputs; --no-timestamp suppresses the timestamp field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import re
 import sys
@@ -47,9 +47,9 @@ from .groups import annihilator, character_matrix, close, extend_to_maximal, is_
 from .pauli import parse_pauli
 from .privacy import check_privatized_algebra, quasiorth_condition_suite
 
-_DEFAULT_SEED = 2016
-_DEFAULT_TOL = 1e-8
-_QUASI_TOL = 1e-9
+def _default(fn, name: str = "tol"):
+    """The default of the parameter ``name`` of ``fn``, which the flag of that name feeds."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _check_n(d: int, n: int | None, N: int, what: str) -> None:
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         actions[topic] = topics.add_parser(topic, help=text).add_subparsers(
             dest="action", required=True)
 
-    def command(path, handler, *, dn=False, tol=None, seed=False, out=False):
-        """One subcommand with the common flags its handler reads."""
+    def command(path, handler, *, dn=False, tol=None, seed=None, out=False):
+        """One subcommand with the common flags its handler reads; tol and seed are defaults."""
         topic, action = path.split()
         p = actions[topic].add_parser(action, allow_abbrev=False)  # --n never means --no-timestamp
         p.set_defaults(handler=handler, command_path=path)
@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol,
                            help=f"decision tolerance (default {tol:g})")
-        if seed:
-            p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                           help=f"seed of the random states (default {_DEFAULT_SEED})")
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed,
+                           help=f"seed of the random states (default {seed})")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--no-timestamp", action="store_true")
         if out:
@@ -153,16 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("channel apply", _cmd_apply, out=True)
     p.add_argument("--in", dest="infile", required=True, help="channel JSON")
     p.add_argument("--state", required=True, help="state operator JSON")
-    p = command("channel choi-equal", _cmd_choi_equal, tol=_DEFAULT_TOL)
+    p = command("channel choi-equal", _cmd_choi_equal, tol=_default(choi_equal))
     p.add_argument("--a", required=True, help="first channel JSON")
     p.add_argument("--b", required=True, help="second channel JSON")
 
-    p = command("privacy quasiorth", _cmd_quasiorth, dn=True, tol=_QUASI_TOL)
+    p = command("privacy quasiorth", _cmd_quasiorth, dn=True,
+                tol=_default(quasiorth_condition_suite))
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p = command("privacy certify", _cmd_certify, dn=True, out=True)
     p.add_argument("--tol", type=float, default=None,
-                   help=f"decision tolerance of --algebra (default {_DEFAULT_TOL:g})")
+                   help="decision tolerance of --algebra "
+                        f"(default {_default(check_privatized_algebra):g})")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--group", default=None, help="generators of the Kraus subgroup")
     source.add_argument("--channel", default=None, choices=["identity"],
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     subject.add_argument("--construct", action="store_true",
                          help="construct the private algebra from the subgroup")
 
-    command("demo phaseflip", _cmd_phaseflip, seed=True)
+    command("demo phaseflip", _cmd_phaseflip, seed=_default(phase_flip_demo, "seed"))
     p = command("demo qutrit", _cmd_qutrit)
     p.add_argument("--perturb", action="store_true",
                    help="negative control: corrupt one expected phase")
@@ -298,39 +300,33 @@ def _certify_channel(args) -> tuple[Channel, str]:
 
 
 def _cmd_certify(args) -> int:
+    tol = _default(check_privatized_algebra)
     if args.construct and args.tol is not None:
         raise FormatError("argument --tol: not allowed with argument --construct, "
-                          f"whose certificate is exact and records {_DEFAULT_TOL:g}")
+                          f"whose certificate is exact and records {tol:g}")
     source = "--in" if args.infile is not None else "--channel" if args.channel else None
     if args.construct and source:  # --construct reads only --group
         raise FormatError(f"argument {source}: not allowed with argument --construct")
-    args.tol = _DEFAULT_TOL if args.tol is None else args.tol
+    args.tol = tol if args.tol is None else args.tol
     if args.construct:
         if not args.group:
             raise PreconditionError("--construct needs --group")
         K = _close_gens(args.group, args.d, args.n)
         alg, cert = private_algebra_for_abelian(K)
+        channel, subject = f"group channel from {args.group!r}", "constructed private algebra"
         # |K| <= N <= 4096 rows, since the certificate passed its rho0 bound
-        hashes = {"group": serialize.sha256_of_array(K.rows),
-                  "algebra": serialize.sha256_of_array(alg.basis)}
-        cert = dataclasses.replace(
-            cert, channel_description=f"group channel from {args.group!r}",
-            subject_description="constructed private algebra", input_hashes=hashes)
+        hashes = {"group": serialize.sha256_of_array(K.rows)}
     else:
-        phi, desc = _certify_channel(args)
+        phi, channel = _certify_channel(args)
         if not args.algebra:
             raise PreconditionError("certify needs --algebra or --construct")
         alg = _algebra_from_arg(args.algebra, args.d, args.n)
-        cert = check_privatized_algebra(
-            phi, alg, tol=args.tol,
-            channel_description=desc,
-            subject_description=f"algebra {args.algebra!r}",
-            input_hashes={
-                "channel": serialize.sha256_of_array(phi.kraus),
-                "algebra": serialize.sha256_of_array(alg.basis),
-            },
-        )
-    obj = serialize.certificate_to_obj(cert)
+        cert = check_privatized_algebra(phi, alg, tol=args.tol)
+        subject = f"algebra {args.algebra!r}"
+        hashes = {"channel": serialize.sha256_of_array(phi.kraus)}
+    hashes["algebra"] = serialize.sha256_of_array(alg.basis)
+    obj = serialize.certificate_to_obj(
+        cert, {"channel": channel, "subject": subject, "hashes": hashes})
     if args.out:
         serialize.write_json(args.out, obj)
     _emit(args, obj, [
@@ -389,6 +385,9 @@ def main(argv=None) -> int:
         if any(v < low[k] for k, v in given.items()):
             raise PreconditionError("need --d >= 2, --n >= 1 and --seed >= 0, got "
                                     + ", ".join(f"{k}={v}" for k, v in given.items()))
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < np.inf:  # also refuses NaN
+            raise PreconditionError(f"need a finite --tol >= 0, got {tol}")
         return args.handler(args)
     except (FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

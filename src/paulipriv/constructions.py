@@ -1,15 +1,16 @@
 """Explicit private-subsystem constructions for Abelian Pauli subgroups.
 
-The pipeline turns an Abelian subgroup K = <g_1, ..., g_k> of the n-qudit
-class group, for any d >= 2, into a channel (equally weighted class
-representatives as Kraus operators) plus a certified private algebra: the span
+The group channel of any subgroup of the n-qudit class group, Abelian or not,
+has its equally weighted class representatives as Kraus operators.  The
+pipeline turns an Abelian subgroup K = <g_1, ..., g_k>, for any d >= 2, into
+that channel plus a certified private algebra: the span
 of the subgroup H of :func:`~paulipriv.groups.encoded_subgroup`, generated by
 the encoded qudits h_{2i} and h_{2i-1} h_{2i} g_{2i-1} g_{2i} built from
 symplectic partners h_j of the g_j.  Every non-identity class of H fails to
 commute with some g_j, so the group channel sends it to zero, which is exactly
 why span H is privatized.  A maximal K is the case k = n of the same
-construction; a K whose Howell rows have a non-unit pivot (composite d only)
-has no partners and is refused.
+construction; a non-Abelian K, or one whose Howell rows have a non-unit pivot
+(composite d only), has no partners and is refused.
 
 The pipeline's certificate is read off the intersection of H and Ann K by
 :func:`~paulipriv.privacy.check_privatized_subgroup`, with no dense channel;
@@ -34,7 +35,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, close, encoded_subgroup, is_abelian
+from .groups import PauliSubgroup, close, encoded_subgroup
 from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
 from .privacy import (
     PrivacyCertificate,
@@ -73,14 +74,10 @@ def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
 def channel_from_subgroup(G: PauliSubgroup) -> Channel:
     """Channel with the subgroup's phase-0 representatives as equal Kraus weights.
 
-    Only Abelian subgroups are accepted; global phases of the representatives
-    cancel in K rho K^dag, so the quotient classes determine the channel.
+    Any subgroup, Abelian or not: the representatives are unitary, so the
+    equal weights make the channel trace preserving, and global phases cancel
+    in K rho K^dag, so the quotient classes determine the channel.
     """
-    if not is_abelian(G):
-        raise PreconditionError(
-            "channel_from_subgroup requires an Abelian subgroup; "
-            "the given subgroup has non-commuting elements"
-        )
     _require_dense(G.order, G.d**G.n, "the subgroup's dense Kraus operators",
                    _INTEGER_ROUTE)
     scale = 1.0 / math.sqrt(G.order)
@@ -102,12 +99,8 @@ def private_algebra_for_abelian(
     K needs Howell pivot entries 1 (every K does for prime d); blocks (N/d^m, d^m).
     """
     H = encoded_subgroup(K)
-    cert = check_privatized_subgroup(
-        K,
-        H,
-        channel_description=f"group channel, {K.order} Kraus operators on {K.d**K.n} dims",
-        subject_description=f"encoded Pauli subgroup algebra, |H| = {H.order}",
-    )
+    # first, so that a large K is refused for its rho0 and not for the dense H
+    cert = check_privatized_subgroup(K, H)
     return subgroup_algebra(H), cert
 
 

@@ -280,7 +280,9 @@ def _commuting(rows: np.ndarray, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
-    """(x | z) rows of the partners of commuting rows g, as in symplectic_partners."""
+    """(x | z) rows of the partners of rows g, as in symplectic_partners; g must commute."""
+    if _chi_rows(g, g, d).any():
+        raise PreconditionError("symplectic partners need an Abelian K")
     (k, width), n = g.shape, g.shape[1] // 2
     m_t = np.vstack([-g[:, n:].T, g[:, :n].T])  # M^T for M = [-g_z | g_x]
     a, pivots = _howell(np.hstack([m_t, np.eye(width, dtype=np.int64)]), d)
@@ -302,8 +304,6 @@ def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
     substitution turns its first k rows into h0 with chi(g_i, h0_j) = delta_ij, and
     h = h0 + triu(-C, 1) g, C = chi(h0, h0), commute.  O(n^3); nothing is enumerated.
     """
-    if not is_abelian(K):
-        raise PreconditionError("symplectic partners need an Abelian K")
     d, n = K.d, K.n
     h = _partner_rows(K._gens, d).tolist()
     return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h]
@@ -318,11 +318,9 @@ def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
     (XZ)_{2i-1} (XZ)_{2i} in that frame.  The x-exponents of a^s b^t there are
     (t, s + t), so H meets Ann K only in the identity, and chi(a, b) = omega, so
     the group channel of K privatizes span H = M_{d^floor(k/2)} (x) I.  For the
-    diagonal qubit group the pairs are X_{2i} and Y_{2i-1} Y_{2i}.  Any d >= 2;
-    a K with a Howell pivot entry other than 1 has no partners and is refused.
+    diagonal qubit group the pairs are X_{2i} and Y_{2i-1} Y_{2i}.  Any d >= 2; a
+    non-Abelian K, or one with a Howell pivot entry other than 1, is refused.
     """
-    if not is_abelian(K):
-        raise PreconditionError("subgroup must be Abelian")
     g, h = K._gens, _partner_rows(K._gens, K.d)
     # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
     encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]])

@@ -1,10 +1,10 @@
 """Quasiorthogonality tests and privacy certification for channels.
 
-A channel privatizes an algebra B when every unit-trace element of B maps to
-one fixed state rho0; by linearity it is enough to check the basis, which is
-what the certificate records.  For the group channel of an Abelian Pauli
-subgroup K and the span of a Pauli subgroup H the same certificate is an
-integer fact, H meeting Ann K only in the identity, and is computed as one.
+A channel privatizes an algebra B when Phi(x) = tr(x) rho0 for every x in B;
+by linearity a basis suffices, so a certificate holds rho0, one deviation per
+basis input and a tolerance.  For the group channel of any Pauli subgroup K
+and the span of a Pauli subgroup H the same certificate is an integer fact, H
+meeting Ann K only in the identity, and is computed as one.
 Quasiorthogonality of two algebras is the trace condition
 tr(ab)/N = tr(a) tr(b)/N^2 on basis pairs.  The module also reports the
 centered-trace form (N times that deviation) and evaluates the two
@@ -15,7 +15,7 @@ with no N^2 x N^2 superoperator, as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, _chi_rows, is_abelian
+from .groups import PauliSubgroup, _chi_rows
 
 __all__ = [
     "PrivacyCertificate",
@@ -47,35 +47,31 @@ _PRIVACY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PrivacyCertificate:
-    """Outcome of a privatization check.
+    """Outcome of a privatization check: Phi(x) = tr(x) rho0 for each input x.
 
-    ``verdict`` is True exactly when ``max_deviation <= tolerance``; ``rho0``
-    is the common output state all certified inputs map to.
+    ``per_basis`` holds the largest entry of |Phi(x) - tr(x) rho0| for each
+    input x; the verdict is True exactly when none exceeds ``tolerance``.
     """
 
-    channel_description: str
-    subject_description: str
     rho0: np.ndarray
-    max_deviation: float
-    tolerance: float
-    verdict: bool
     per_basis: tuple[float, ...]
-    input_hashes: dict = field(default_factory=dict)
+    tolerance: float
+
+    @property
+    def max_deviation(self) -> float:
+        return max(self.per_basis)
+
+    @property
+    def verdict(self) -> bool:
+        return self.max_deviation <= self.tolerance
 
 
-def _certificate(rho0, per_basis, tol, channel_description, subject_description,
-                 input_hashes) -> PrivacyCertificate:
-    dev = max(per_basis)
-    return PrivacyCertificate(
-        channel_description=channel_description,
-        subject_description=subject_description,
-        rho0=rho0,
-        max_deviation=dev,
-        tolerance=tol,
-        verdict=dev <= tol,
-        per_basis=tuple(per_basis),
-        input_hashes=dict(input_hashes or {}),
+def _fixed_state_sweep(phi: Channel, rho0, inputs, tol: float) -> PrivacyCertificate:
+    """Certificate of Phi(x) = tr(x) rho0 over the inputs x."""
+    per_basis = tuple(
+        float(np.abs(apply_channel(phi, x) - np.trace(x) * rho0).max()) for x in inputs
     )
+    return PrivacyCertificate(rho0, per_basis, tol)
 
 
 def _check_same_dim(A: OperatorAlgebra, B: OperatorAlgebra) -> None:
@@ -160,13 +156,7 @@ def quasiorth_condition_suite(
 
 
 def check_privatized_algebra(
-    phi: Channel,
-    B: OperatorAlgebra,
-    tol: float = _PRIVACY_TOL,
-    *,
-    channel_description: str = "channel",
-    subject_description: str = "algebra",
-    input_hashes: dict | None = None,
+    phi: Channel, B: OperatorAlgebra, tol: float = _PRIVACY_TOL
 ) -> PrivacyCertificate:
     """Certify that phi sends every unit-trace element of B to a fixed state.
 
@@ -177,48 +167,35 @@ def check_privatized_algebra(
         raise PreconditionError("channel and algebra dimensions differ")
     n = phi.N
     rho0 = apply_channel(phi, np.eye(n, dtype=complex)) / n
-    per_basis = [
-        float(np.abs(apply_channel(phi, b) - np.trace(b) * rho0).max())
-        for b in B.basis
-    ]
-    return _certificate(rho0, per_basis, tol, channel_description,
-                        subject_description, input_hashes)
+    return _fixed_state_sweep(phi, rho0, B.basis, tol)
 
 
-def check_privatized_subgroup(
-    K: PauliSubgroup,
-    H: PauliSubgroup,
-    *,
-    channel_description: str = "group channel",
-    subject_description: str = "subgroup algebra",
-) -> PrivacyCertificate:
-    """Certify that the group channel of an Abelian K privatizes span H, from integers.
+def check_privatized_subgroup(K: PauliSubgroup, H: PauliSubgroup) -> PrivacyCertificate:
+    """Certify that the group channel of K privatizes span H, from integers.
 
-    By character orthogonality Phi_K(rho) = |K|^-1 sum_k k rho k^dag fixes a
-    class P of Ann K and sends every other class to 0.  So rho0 = I/N, and the
-    deviation of the basis element P/sqrt(N) of ``subgroup_algebra(H)`` is
-    1/sqrt(N) when P is a non-identity class of Ann K and 0 otherwise: span H
-    is privatized exactly when H meets Ann K only in the identity.  The
-    certificate matches :func:`check_privatized_algebra` on the dense channel
-    and algebra, with ``per_basis`` in the class order of H, and needs no
-    dense operator but rho0.  The certificate is exact: every deviation is 0
-    or 1/sqrt(N) >= 1/64 within the dense size bound, so it takes no tolerance
-    and records the default one.
+    Phi_K(rho) = |K|^-1 sum_k k rho k^dag sends a class P to
+    |K|^-1 sum_k chi(k, P) P.  chi is bilinear, so chi(., P) is a character of
+    K and the sum is P for P in Ann K and 0 otherwise, Abelian K or not.  So
+    rho0 = I/N, and the deviation of the basis element P/sqrt(N) of
+    ``subgroup_algebra(H)`` is 1/sqrt(N) when P is a non-identity class of
+    Ann K and 0 otherwise: span H is privatized exactly when H meets Ann K
+    only in the identity (for the full Pauli group, every H).  The certificate
+    matches :func:`check_privatized_algebra` on the dense channel and algebra,
+    with ``per_basis`` in the class order of H, and needs no dense operator
+    but rho0.  It is exact: every deviation is 0 or 1/sqrt(N) >= 1/64 within
+    the dense size bound, so it takes no tolerance and records the default.
     """
     if (K.d, K.n) != (H.d, H.n):
         raise PreconditionError(
             f"subgroups live on different spaces: d={K.d},n={K.n} vs d={H.d},n={H.n}"
         )
-    if not is_abelian(K):
-        raise PreconditionError("the group channel needs an Abelian subgroup K")
     n = K.d**K.n
     _require_dense(1, n, "the fixed state rho0 = I/N")
     rows = H.rows.astype(np.int64)
     # P is fixed by the channel iff chi(P, g) = 1 for every Howell generator g of K
     fixed = ~_chi_rows(rows, K._gens, K.d).any(axis=1) & rows.any(axis=1)
-    per_basis = np.where(fixed, 1.0 / math.sqrt(n), 0.0).tolist()
-    return _certificate(np.eye(n, dtype=complex) / n, per_basis, _PRIVACY_TOL,
-                        channel_description, subject_description, None)
+    per_basis = tuple(np.where(fixed, 1.0 / math.sqrt(n), 0.0).tolist())
+    return PrivacyCertificate(np.eye(n, dtype=complex) / n, per_basis, _PRIVACY_TOL)
 
 
 def check_private_subsystem(
@@ -231,10 +208,10 @@ def check_private_subsystem(
     """Certify a private subsystem behind the isometry V: A (x) B -> H.
 
     The check sweeps the matrix units E_jk of the B factor with the supplied
-    state sigma_a on the A factor: phi(V (sigma_a (x) E_jk) V^dag) must equal
-    tr(E_jk) rho0 with rho0 := phi(V (sigma_a (x) I/dim_b) V^dag).  Matrix
-    units certify every state on B by linearity.  Privacy may hold for one
-    sigma_a and fail for another; the certificate records what was tested.
+    state sigma_a on the A factor: x = V (sigma_a (x) E_jk) V^dag must map to
+    tr(x) rho0 = delta_jk rho0 with rho0 := phi(V (sigma_a (x) I/dim_b) V^dag).
+    Matrix units certify every state on B by linearity.  Privacy may hold for
+    one sigma_a and fail for another; the certificate records what was tested.
     """
     v = np.asarray(V, dtype=complex)
     if v.ndim != 2 or v.shape != (phi.N, dim_a * dim_b):
@@ -254,15 +231,9 @@ def check_private_subsystem(
     rho0 = apply_channel(
         phi, v @ np.kron(sigma, np.eye(dim_b) / dim_b) @ v.conj().T
     )
-    per_basis = []
-    for j in range(dim_b):
-        for k in range(dim_b):
-            unit = np.zeros((dim_b, dim_b), dtype=complex)
-            unit[j, k] = 1.0
-            out = apply_channel(phi, v @ np.kron(sigma, unit) @ v.conj().T)
-            target = rho0 if j == k else 0.0
-            per_basis.append(float(np.abs(out - target).max()))
-    return _certificate(rho0, per_basis, _PRIVACY_TOL, "channel", "subsystem", None)
+    units = np.eye(dim_b * dim_b, dtype=complex).reshape(-1, dim_b, dim_b)
+    inputs = (v @ np.kron(sigma, unit) @ v.conj().T for unit in units)
+    return _fixed_state_sweep(phi, rho0, inputs, _PRIVACY_TOL)
 
 
 def kraus_mutually_commuting(phi: Channel) -> bool:

@@ -96,13 +96,10 @@ def algebra_from_obj(obj) -> OperatorAlgebra:
     return span_closure([operator_from_obj(o) for o in ops])
 
 
-def certificate_to_obj(cert: PrivacyCertificate) -> dict:
+def certificate_to_obj(cert: PrivacyCertificate, inputs: dict) -> dict:
+    """A certificate with ``inputs``, the caller's record of what was certified."""
     return {
-        "inputs": {
-            "channel": cert.channel_description,
-            "subject": cert.subject_description,
-            "hashes": dict(cert.input_hashes),
-        },
+        "inputs": inputs,
         "rho0": operator_to_obj(cert.rho0),
         "max_deviation": cert.max_deviation,
         "tolerance": cert.tolerance,

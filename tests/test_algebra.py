@@ -451,6 +451,14 @@ def test_channel_requires_trace_preservation():
         Channel(np.array([np.eye(2) * 0.5]))
 
 
+def test_channel_refuses_non_finite_kraus():
+    # NaN passes any "deviation > tol" test, so the trace-preservation check alone lets it in
+    kraus = np.eye(2, dtype=complex)[None].copy()
+    kraus[0, 0, 1] = np.nan
+    with pytest.raises(PreconditionError, match="non-finite"):
+        Channel(kraus)
+
+
 @pytest.mark.parametrize("build", [
     lambda: diagonal_algebra(4),
     lambda: Channel.identity(2),

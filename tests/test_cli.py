@@ -74,13 +74,17 @@ MINIMAL = {
 
 @pytest.fixture
 def files(tmp_path):
-    """The group channel of <ZI, IZ>, the state I/4 and the diagonal algebra of M_4, as JSON files."""
+    """JSON files: the group channel of <ZI, IZ>, the state I/4, the diagonal algebra of
+    M_4, and a one-qubit identity channel with one NaN entry."""
     chan, rho, alg = tmp_path / "chan.json", tmp_path / "rho.json", tmp_path / "alg.json"
     write_json(chan, channel_to_obj(channel_from_subgroup(
         close([parse_pauli(s).pauli_class() for s in ("ZI", "IZ")]))))
     write_json(rho, operator_to_obj(np.eye(4, dtype=complex) / 4))
     write_json(alg, algebra_to_obj(diagonal_algebra(4)))
-    return {"chan": str(chan), "rho": str(rho), "alg": str(alg)}
+    nan = tmp_path / "nan.json"
+    write_json(nan, {"kraus": [{"n": 2, "re": [[1.0, float("nan")], [0.0, 1.0]],
+                                "im": [[0.0, 0.0], [0.0, 0.0]]}]})
+    return {"chan": str(chan), "rho": str(rho), "alg": str(alg), "nan": str(nan)}
 
 
 def command_argv(command, files):
@@ -361,15 +365,29 @@ def test_privacy_certify_construct(capsys, tmp_path):
     assert on_disk["verdict"] is True
 
 
-def test_privacy_certify_construct_qubit_bytes_pinned(capsys):
-    code, out, _ = run(capsys, "privacy", "certify", "--group", "ZI,IZ", "--construct")
+PHASE_FLIP_ALGEBRA = "1bb3c60dc5291034b9bacc26a41d0284af8b84a91c998cd3a07a8dfd09c2f879"
+
+
+# Qubit cases only: their entries 0, 0.25, 0.5 and +-1 are exact, so the hashes hold on
+# every platform.  Both subjects are the span of II, IX, YY and YZ.
+@pytest.mark.parametrize("subject, inputs", [
+    (["--construct"], {
+        "channel": "group channel from 'ZI,IZ'", "subject": "constructed private algebra",
+        "hashes": {"algebra": PHASE_FLIP_ALGEBRA, "group":
+                   "0377b0835d75cbd8b620f211b79cfa7b29b5247846a3aaf9b92c699bb1f0c5f8"}}),
+    (["--algebra", "IX,YY"], {
+        "channel": "group channel from 'ZI,IZ'", "subject": "algebra 'IX,YY'",
+        "hashes": {"algebra": PHASE_FLIP_ALGEBRA, "channel":
+                   "067e6091a87ac5e03ab1150015a443854313024b039050ea586aeb4ac04da92b"}}),
+], ids=["construct", "algebra"])
+def test_privacy_certify_qubit_bytes_pinned(capsys, subject, inputs):
+    code, out, _ = run(capsys, "privacy", "certify", "--group", "ZI,IZ", *subject)
+    rho0 = {"n": 4, "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+    result = {"inputs": inputs, "max_deviation": 0.0, "per_basis_deviation": [0.0] * 4,
+              "rho0": rho0, "tolerance": 1e-08, "verdict": True}
+    envelope = {"command": "privacy certify", "result": result, "tolerance": 1e-08}
     assert code == 0
-    res = payload(out)
-    assert res["inputs"]["hashes"] == {
-        "algebra": "1bb3c60dc5291034b9bacc26a41d0284af8b84a91c998cd3a07a8dfd09c2f879",
-        "group": "0377b0835d75cbd8b620f211b79cfa7b29b5247846a3aaf9b92c699bb1f0c5f8",
-    }
-    assert res["max_deviation"] == 0.0
+    assert out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 def test_privacy_certify_construct_qutrits(capsys):
@@ -466,10 +484,11 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
-def test_nonabelian_group_channel_exit_3(capsys):
-    code, _, err = run(capsys, "channel", "from-group", "--gens", "XI,ZI")
-    assert code == 3
-    assert "Abelian" in err
+def test_nonabelian_group_channel_exit_0_but_construct_exit_3(capsys):
+    code, out, _ = run(capsys, "channel", "from-group", "--gens", "XI,ZI")
+    assert code == 0 and payload(out) == {"N": 4, "kraus_count": 4}
+    code, _, err = run(capsys, "privacy", "certify", "--group", "XI,ZI", "--construct")
+    assert code == 3 and "Abelian" in err
 
 
 def test_out_naming_a_directory_exit_2(capsys, tmp_path):
@@ -497,6 +516,23 @@ def test_bad_d_n_or_seed_exit_3(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "need --d >= 2, --n >= 1 and --seed >= 0" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    # the identity channel does not privatize M_4, nor is delta4 quasiorthogonal to itself
+    (["privacy", "certify", "--channel", "identity", "--n", "2", "--algebra", "full",
+      "--tol", "inf"], "--tol"),
+    (["privacy", "certify", "--in", "{chan}", "--algebra", "delta4", "--tol", "nan"], "--tol"),
+    (["privacy", "quasiorth", "--a", "delta4", "--b", "delta4", "--tol", "inf"], "--tol"),
+    (["privacy", "quasiorth", "--a", "delta4", "--b", "II,IX", "--tol", "-1"], "--tol"),
+    (["channel", "choi-equal", "--a", "{chan}", "--b", "{chan}", "--tol", "nan"], "--tol"),
+    (["privacy", "certify", "--in", "{nan}", "--algebra", "scalars", "--n", "1"], "non-finite"),
+    (["channel", "choi-equal", "--a", "{nan}", "--b", "{nan}"], "non-finite"),
+    (["channel", "apply", "--in", "{nan}", "--state", "{rho}"], "non-finite"),
+])
+def test_meaningless_tol_or_non_finite_channel_exit_3(capsys, files, argv, named):
+    code, _, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 3 and named in err
 
 
 def test_linalg_error_exit_3(capsys, tmp_path, monkeypatch):

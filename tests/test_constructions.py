@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from paulipriv import (
     PauliClass,
     PreconditionError,
+    apply_channel,
     channel_from_subgroup,
     check_privatized_algebra,
     check_privatized_subgroup,
@@ -139,10 +140,13 @@ def test_channel_from_qutrit_group():
         assert np.abs(k @ k.conj().T * 9 - np.eye(9)).max() < 1e-12
 
 
-def test_channel_rejects_nonabelian():
-    with pytest.raises(PreconditionError) as err:
-        channel_from_subgroup(close([cls("XI"), cls("ZI")]))
-    assert "Abelian" in str(err.value)
+def test_channel_from_nonabelian_subgroup():
+    # <XI, ZI> twirls the first qubit: it keeps each class I P and sends the others to 0
+    phi = channel_from_subgroup(close([cls("XI"), cls("ZI")]))
+    assert len(phi.kraus) == 4 and not kraus_mutually_commuting(phi)
+    for s in ("IX", "IZ", "XI", "YZ", "ZY"):
+        kept = dense(s) if s[0] == "I" else 0
+        assert np.abs(apply_channel(phi, dense(s)) - kept).max() < 1e-12
 
 
 def test_dense_refusal_names_the_integer_route_which_answers():

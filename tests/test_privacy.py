@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipriv import (
@@ -362,23 +362,36 @@ def test_subgroup_certificate_phase_flip_both_verdicts():
     assert not leaky.verdict and leaky.per_basis == (0.0, 0.5)
 
 
+# every (d, n) with d^n <= 32 from one list: nested draws of d and then n never reached (2, 2)
+SPACES = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
 @st.composite
 def certificate_case(draw):
-    """(d, n, seed, mode) with d^n <= 32; mode picks how H is drawn."""
-    d = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, {2: 5, 3: 3, 4: 2}[d]))
-    return d, n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2))
+    """(d, n, seed, k_mode, h_mode): k_mode picks how K is drawn, h_mode how H is."""
+    d, n = draw(st.sampled_from(SPACES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, n, seed, draw(st.sampled_from(["abelian", "any"])), draw(st.integers(0, 2))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(certificate_case())
+@example((2, 1, 0, "pauli", 0))
+@example((2, 2, 0, "pauli", 0))
+@example((2, 3, 0, "pauli", 0))
+@example((3, 1, 0, "pauli", 0))
+@example((4, 1, 0, "pauli", 0))
 def test_property_subgroup_certificate_against_dense(case):
-    d, n, seed, mode = case
+    d, n, seed, k_mode, h_mode = case
     rng = np.random.default_rng(seed)
-    K = random_abelian_subgroup(rng, d, n)
-    if mode == 0:  # arbitrary H
+    if k_mode == "pauli":  # the one-time pad: the full Pauli group privatizes all of M_N
+        K = annihilator(close((), d=d, n=n))
+        assert assert_same_certificate(K, K).verdict
+        return
+    K = (random_abelian_subgroup if k_mode == "abelian" else random_subgroup)(rng, d, n)
+    if h_mode == 0:  # arbitrary H
         H = random_subgroup(rng, d, n)
-    elif mode == 1:  # H inside Ann K: fixed by the channel, never private
+    elif h_mode == 1:  # H inside Ann K: fixed by the channel, never private
         ann = annihilator(K).elements
         H = close([ann[i] for i in rng.integers(0, len(ann), 2)], d=d, n=n)
     else:  # one cyclic group, private for prime d unless it commutes with K
@@ -388,8 +401,8 @@ def test_property_subgroup_certificate_against_dense(case):
 
 def test_subgroup_certificate_refusals():
     K = close(classes("ZI,IZ"))
-    with pytest.raises(PreconditionError, match="Abelian"):
-        check_privatized_subgroup(close(classes("XI,ZI")), K)
+    # a non-Abelian K is no refusal: its channel twirls the first qubit, hiding XX and ZZ
+    assert assert_same_certificate(close(classes("XI,ZI")), close(classes("XX,ZZ"))).verdict
     with pytest.raises(PreconditionError, match="different spaces"):
         check_privatized_subgroup(K, close(classes("ZII")))
     with pytest.raises(PreconditionError, match="different spaces"):

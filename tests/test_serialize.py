@@ -78,10 +78,8 @@ def test_algebra_loader_respans_sloppy_basis():
 def test_certificate_schema():
     phi = Channel(np.array([dense(s) / 2 for s in ("II", "ZI", "IZ", "ZZ")]))
     alg = span_closure([dense(s) for s in ("II", "IX", "YY", "YZ")])
-    cert = check_privatized_algebra(
-        phi, alg, input_hashes={"channel": sha256_of_array(phi.kraus)}
-    )
-    obj = certificate_to_obj(cert)
+    cert = check_privatized_algebra(phi, alg)
+    obj = certificate_to_obj(cert, {"hashes": {"channel": sha256_of_array(phi.kraus)}})
     assert set(obj) == {
         "inputs", "rho0", "max_deviation", "tolerance", "verdict",
         "per_basis_deviation",
