@@ -24,6 +24,7 @@ from .algebra import (
     structure_type,
 )
 from .constructions import (
+    PauliAlgebra,
     TwoQutritReport,
     channel_from_subgroup,
     max_private_qubits,
@@ -44,6 +45,7 @@ from .groups import (
     diagonal_subgroup,
     encoded_subgroup,
     extend_to_maximal,
+    intersect,
     is_abelian,
 )
 from .pauli import (

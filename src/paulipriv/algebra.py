@@ -12,6 +12,11 @@ Japan J. Indust. Appl. Math. 27, 2010) in O(dim A N^2 + N^3), with no
 N^2 x N^2 matrix.  Each algebra computes it once and keeps it; the commutant
 U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the conditional expectation read it.
 
+The span of a Pauli subgroup (:class:`~paulipriv.constructions.PauliAlgebra`)
+keeps its subgroup and builds its basis only on first read, under the same
+bound.  The pipeline's private algebra also keeps its encoded pairs, and its
+decomposition is built from that frame, with no basis and no generic element.
+
 Rank, cluster and coupling decisions are never silent: singular values,
 eigenvalue gaps or coupling norms inside a factor-of-ten window around the
 decision threshold raise :class:`~paulipriv.errors.NumericalAmbiguityError`.
@@ -80,10 +85,14 @@ class OperatorAlgebra:
     """A unital *-subalgebra of M_N given by an orthonormal basis.
 
     ``basis`` has shape (dim, N, N) with tr(b_i^dag b_j) = delta_ij.  Use
-    :func:`span_closure` to build one from arbitrary generators.
+    :func:`span_closure` to build one from arbitrary generators.  ``subgroup``
+    is None here; the span of a Pauli subgroup
+    (:class:`~paulipriv.constructions.PauliAlgebra`) keeps the subgroup and
+    builds its basis only on first read.
     """
 
     basis: np.ndarray
+    subgroup = None  # a class attribute, not a field
 
     def __post_init__(self):
         arr = np.array(self.basis, dtype=complex)
@@ -276,12 +285,12 @@ def _block_average(x: np.ndarray, blocks, u: np.ndarray | None = None) -> np.nda
     return out if u is None else u.conj().T @ out @ u
 
 
-def _verify_block_form(u: np.ndarray, A: OperatorAlgebra, blocks) -> None:
-    """Raise unless U a U^dag lies in sum_i I_k (x) M_q for every basis element."""
-    if np.abs(u @ u.conj().T - np.eye(A.N)).max() > 1e-10:
+def _verify_block_form(u: np.ndarray, ops: np.ndarray, blocks) -> None:
+    """Raise unless U is unitary and U a U^dag lies in sum_i I_k (x) M_q for each a in ops."""
+    if np.abs(u @ u.conj().T - np.eye(len(u))).max() > 1e-10:
         raise NumericalAmbiguityError("structure unitary failed the unitarity check")
-    m = u @ A.basis @ u.conj().T
-    dev = np.abs(m - _block_average(m, blocks)).max()
+    m = u @ ops @ u.conj().T
+    dev = np.abs(m - _block_average(m, blocks)).max(initial=0.0)
     if dev > _BLOCK_TOL:
         raise NumericalAmbiguityError(
             f"block form deviates by {dev:.3e}, above the tolerance {_BLOCK_TOL:.1e}"
@@ -348,7 +357,7 @@ def _decompose(A: OperatorAlgebra, rng) -> tuple[StructureType, np.ndarray]:
         )
     u = np.hstack([cols for _, _, cols in blocks]).conj()
     u.setflags(write=False)  # kept with A; the transpose U inherits read-only
-    _verify_block_form(u.T, A, st.blocks)
+    _verify_block_form(u.T, A.basis, st.blocks)
     return st, u.T
 
 
@@ -362,6 +371,13 @@ def structure_type(A: OperatorAlgebra) -> tuple[StructureType, np.ndarray]:
     check, which together prove A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U;
     otherwise another draw is taken, up to 16.  The seed is fixed, so U
     depends only on A; it is computed once, kept with A and read-only.
+
+    The pipeline's private algebra span H keeps the encoded pairs
+    (a_i, b_i) that generate H, and its U is built from that frame instead:
+    U^dag maps the joint eigenvalue-1 eigenspace of the a_i across by powers
+    of the b_i.  Unitarity, the block form of the 2m generators and
+    |H| = q^2 prove the same decomposition, and no basis is read, so it runs
+    where the basis is above the dense bound (n = 9 qubits and beyond).
 
     Returns
     -------

@@ -17,25 +17,38 @@ The pipeline's certificate is read off the intersection of H and Ann K by
 the dense :func:`~paulipriv.privacy.check_privatized_algebra` stays the test
 oracle and certifies what the CLI is given.  Dense class stacks come from one
 :func:`~paulipriv.pauli.dense_paulis` call per subgroup.
+
+Every Pauli-spanned algebra here is a :class:`PauliAlgebra`: it keeps its
+subgroup and builds its dense basis only on first read, under the dense bound,
+and :func:`~paulipriv.privacy.is_quasiorthogonal` decides two of them from
+K meet H.  The pipeline's algebra also keeps its encoded pairs, and
+:func:`~paulipriv.algebra.structure_type` builds its block unitary from that
+frame.  So the pipeline, its blocks and its quasiorthogonality build no basis;
+what bounds the pipeline is the certificate's rho0, which needs N <= 4096.
+``privacy certify --construct`` hashes the dense basis, so it stays bounded by
+that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .algebra import (
     Channel,
     OperatorAlgebra,
+    StructureType,
     _require_dense,
+    _verify_block_form,
     apply_channel,
     diagonal_algebra,
     structure_type,
 )
-from .errors import PreconditionError
-from .groups import PauliSubgroup, close, encoded_subgroup
+from .errors import NumericalAmbiguityError, PreconditionError
+from .groups import PauliSubgroup, _encoded_pairs, close
 from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
 from .privacy import (
     PrivacyCertificate,
@@ -52,6 +65,7 @@ _INTEGER_ROUTE = (
 )
 
 __all__ = [
+    "PauliAlgebra",
     "TwoQutritReport",
     "channel_from_subgroup",
     "max_private_qubits",
@@ -63,12 +77,102 @@ __all__ = [
 ]
 
 
-def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
-    """The span of a subgroup's class representatives as an operator algebra."""
-    n_dim = K.d**K.n
-    _require_dense(K.order, n_dim, "the subgroup's dense class representatives",
+def _require_dense_classes(K: PauliSubgroup) -> None:
+    _require_dense(K.order, K.d**K.n, "the subgroup's dense class representatives",
                    _INTEGER_ROUTE)
-    return OperatorAlgebra(dense_paulis(K.d, *K.xz_arrays()) / math.sqrt(n_dim))
+
+
+class PauliAlgebra(OperatorAlgebra):
+    """span H for a Pauli subgroup H, kept as H; the dense basis is built on first read.
+
+    The basis is the class representatives of H in canonical order over
+    sqrt(N), under the dense bound.  With ``pairs``, the (x | z) rows
+    (a_i, b_i) of encoded pairs that generate H, the block decomposition comes
+    from that frame (:func:`_frame_decomposition`) and reads no basis;
+    otherwise it is the dense one of :func:`~paulipriv.algebra.structure_type`.
+    """
+
+    def __init__(self, H: PauliSubgroup, pairs: tuple[np.ndarray, np.ndarray] | None = None):
+        # the frozen base refuses only its own field, basis, on a subclass
+        self.subgroup, self.pairs = H, pairs
+
+    @property
+    def N(self) -> int:
+        return self.subgroup.d**self.subgroup.n
+
+    @property
+    def dim(self) -> int:
+        return self.subgroup.order
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        H = self.subgroup
+        _require_dense_classes(H)
+        out = dense_paulis(H.d, *H.xz_arrays()) / math.sqrt(self.N)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _decomposition(self) -> tuple[StructureType, np.ndarray]:
+        if self.pairs is None:
+            return super()._decomposition
+        return _frame_decomposition(self.subgroup, *self.pairs)
+
+    def __repr__(self) -> str:
+        H = self.subgroup
+        return f"PauliAlgebra(d={H.d}, n={H.n}, dim={H.order})"
+
+
+def _frame_decomposition(H: PauliSubgroup, a: np.ndarray, b: np.ndarray):
+    """span H = U^dag (I_{N/q} (x) M_q) U from encoded pairs (a_i, b_i) generating H.
+
+    With the phase zeta^{(1-d) x.z} each dense A_i has A_i^d = I.  The A_i
+    generate a free Z_d^m, q = d^m, whose non-identity elements have trace 0,
+    so their joint eigenvalue-1 eigenspace V0 has rank N/q.  Column j q + tau
+    of U^dag is B^tau V0[:, j] (Poulin, arXiv:quant-ph/0508131).  The check is
+    unitarity, the block form of the 2m generators, and |H| = q^2: the
+    block-form set is a *-algebra, so it holds the algebra the generators
+    span, span H, and the dimensions match.  O(m d N^3); no basis is read.
+    """
+    d, n, m = H.d, H.n, len(a)
+    N, q = d**n, d**m
+    if H.order != q * q:
+        raise PreconditionError(f"{m} encoded pairs generate {H.order} classes, not {q * q}")
+    x, z = np.vstack([a[:, :n], b[:, :n]]), np.vstack([a[:, n:], b[:, n:]])
+    gens = dense_paulis(d, x, z, (1 - d) * (x * z).sum(axis=1))
+    # (1/d) sum_t A_i^t projects onto the eigenvalue-1 eigenspace of A_i; they commute
+    power = total = np.eye(N, dtype=complex)
+    for _ in range(d - 1):
+        power = power @ gens[:m]
+        total = total + power
+    p0 = reduce(np.matmul, total / d, np.eye(N, dtype=complex))
+    w, v = np.linalg.eigh((p0 + p0.conj().T) / 2)
+    rank = int((w > 0.5).sum())
+    if rank != N // q:
+        raise NumericalAmbiguityError(
+            f"joint eigenvalue-1 eigenspace of the encoded a_i has rank {rank}, not N/q = {N // q}"
+        )
+    cols = v[None, :, w > 0.5]  # cols[tau] = B^tau V0 for tau in mixed radix, b_m slowest
+    for y in gens[m:]:
+        steps = [cols]
+        for _ in range(d - 1):
+            steps.append(y @ steps[-1])
+        cols = np.concatenate(steps)
+    u = cols.transpose(2, 0, 1).reshape(N, N).conj()
+    u.setflags(write=False)
+    blocks = ((N // q, q),)
+    _verify_block_form(u, gens, blocks)
+    return StructureType(blocks), u
+
+
+def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
+    """The span of a subgroup's class representatives as an operator algebra.
+
+    It keeps K; its dense basis is built on first read, and a K above the
+    dense bound is refused here, before any use.
+    """
+    _require_dense_classes(K)
+    return PauliAlgebra(K)
 
 
 def channel_from_subgroup(G: PauliSubgroup) -> Channel:
@@ -97,11 +201,11 @@ def private_algebra_for_abelian(
     """Certified private algebra of floor(k/2) qudits for Abelian K of size d^k, any d.
 
     K needs Howell pivot entries 1 (every K does for prime d); blocks (N/d^m, d^m).
+    The algebra keeps H and its encoded pairs; its basis is built on first read.
     """
-    H = encoded_subgroup(K)
-    # first, so that a large K is refused for its rho0 and not for the dense H
-    cert = check_privatized_subgroup(K, H)
-    return subgroup_algebra(H), cert
+    pairs = _encoded_pairs(K)
+    H = PauliSubgroup._span(K.d, K.n, np.vstack(pairs))
+    return PauliAlgebra(H, pairs), check_privatized_subgroup(K, H)
 
 
 def private_algebra_for_max_abelian(

@@ -33,6 +33,7 @@ __all__ = [
     "encoded_subgroup",
     "extend_to_maximal",
     "generating_set",
+    "intersect",
     "is_abelian",
     "symplectic_partners",
 ]
@@ -130,6 +131,11 @@ class PauliSubgroup:
         K.order = math.prod(d // int(h[c]) for h, c in zip(gens, pivots))
         return K
 
+    @classmethod
+    def _span(cls, d, n, rows):
+        """The subgroup generated by (x | z) integer rows."""
+        return cls._from_howell(d, n, *_howell(rows, d))
+
     @cached_property
     def rows(self) -> np.ndarray:
         """Read-only (x | z) exponent rows of all elements, canonical order."""
@@ -202,7 +208,7 @@ def close(generators=(), *, d: int | None = None, n: int | None = None) -> Pauli
         raise PreconditionError("close() with no generators needs explicit d and n")
     else:
         PauliClass.identity(d, n)  # raises unless d >= 2 and n >= 1
-    return PauliSubgroup._from_howell(d, n, *_howell(_class_rows(gens, n), d))
+    return PauliSubgroup._span(d, n, _class_rows(gens, n))
 
 
 def generating_set(K: PauliSubgroup) -> list[PauliClass]:
@@ -215,6 +221,24 @@ def _chi_rows(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """Omega exponents chi(a_i, b_j) of (x | z) rows, shape (len(a), len(b))."""
     n = a.shape[1] // 2
     return (a[:, :n] @ b[:, n:].T - a[:, n:] @ b[:, :n].T) % d
+
+
+def intersect(A: PauliSubgroup, B: PauliSubgroup) -> PauliSubgroup:
+    """A meet B, for any d >= 2, by one Howell form (Zassenhaus).
+
+    The span of [[A | A], [B | 0]] is {(a + b | a)}; its elements with left
+    half 0 are (0 | a) for a in both A and B, and by the Howell property the
+    rows that vanish on the left half span them.  Nothing is enumerated.
+    """
+    if (A.d, A.n) != (B.d, B.n):
+        raise PreconditionError(
+            f"subgroups live on different spaces: d={A.d},n={A.n} vs d={B.d},n={B.n}"
+        )
+    w = 2 * A.n
+    h, pivots = _howell(np.vstack([np.hstack([A._gens, A._gens]),
+                                   np.hstack([B._gens, np.zeros_like(B._gens)])]), A.d)
+    keep = [i for i, c in enumerate(pivots) if c >= w]
+    return PauliSubgroup._from_howell(A.d, A.n, h[keep, w:], tuple(pivots[i] - w for i in keep))
 
 
 def is_abelian(K: PauliSubgroup) -> bool:
@@ -309,6 +333,15 @@ def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
     return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h]
 
 
+def _encoded_pairs(K: PauliSubgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(x | z) rows, mod d, of a_i = h_{2i} and b_i = h_{2i-1} h_{2i} g_{2i-1} g_{2i}.
+
+    g are the Howell rows of K and h their partners, as in encoded_subgroup.
+    """
+    g, h = K._gens, _partner_rows(K._gens, K.d)
+    return h[1::2] % K.d, (h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]) % K.d
+
+
 def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
     """The subgroup H of the floor(k/2) encoded qudits of an Abelian K of size d^k.
 
@@ -321,10 +354,7 @@ def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
     diagonal qubit group the pairs are X_{2i} and Y_{2i-1} Y_{2i}.  Any d >= 2; a
     non-Abelian K, or one with a Howell pivot entry other than 1, is refused.
     """
-    g, h = K._gens, _partner_rows(K._gens, K.d)
-    # (x | z) rows of h_{j+1}, then of h_j h_{j+1} g_j g_{j+1}, for even j < k - 1
-    encoded = np.vstack([h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]])
-    return PauliSubgroup._from_howell(K.d, K.n, *_howell(encoded, K.d))
+    return PauliSubgroup._span(K.d, K.n, np.vstack(_encoded_pairs(K)))
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
@@ -348,7 +378,7 @@ def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
         # a class outside K, since at most |K| of them lie in K
         head = cand[: K.order + 1]
         g = head[_residue(head, K).any(axis=1)][0].astype(np.int64)
-        K = PauliSubgroup._from_howell(d, n, *_howell(np.vstack([K._gens, g]), d))
+        K = PauliSubgroup._span(d, n, np.vstack([K._gens, g]))
         cand = cand[_chi_rows(cand, g[None, :], d)[:, 0] == 0]
     return K
 

@@ -28,7 +28,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import PreconditionError
-from .groups import PauliSubgroup, _chi_rows
+from .groups import PauliSubgroup, _chi_rows, intersect
 
 __all__ = [
     "PrivacyCertificate",
@@ -90,8 +90,17 @@ def _pair_deviation(A: OperatorAlgebra, B: OperatorAlgebra) -> float:
 
 
 def is_quasiorthogonal(A: OperatorAlgebra, B: OperatorAlgebra) -> bool:
-    """Trace condition for quasiorthogonality, checked on all basis pairs."""
+    """Trace condition for quasiorthogonality, checked on all basis pairs.
+
+    For the spans of two Pauli subgroups K and H of one space it is the
+    integer fact K meet H = {I}, decided with no basis: tr(PQ) is nonzero only
+    for Q proportional to P^dag, and each class of K meet H other than I
+    violates the condition by 1/N.
+    """
     _check_same_dim(A, B)
+    K, H = A.subgroup, B.subgroup
+    if K is not None and H is not None and (K.d, K.n) == (H.d, H.n):
+        return intersect(K, H).order == 1
     return _pair_deviation(A, B) <= _QUASI_TOL
 
 

@@ -15,6 +15,8 @@ from paulipriv import (
     choi_equal,
     close,
     commutant,
+    conditional_expectation,
+    dense_paulis,
     diagonal_subgroup,
     encoded_subgroup,
     full_matrix_algebra,
@@ -24,6 +26,7 @@ from paulipriv import (
     parse_pauli,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
+    quasiorth_condition_suite,
     quasiorthogonal_to_diagonal,
     scalar_algebra,
     span_closure,
@@ -33,6 +36,8 @@ from paulipriv import (
     diagonal_algebra,
 )
 from paulipriv import Channel
+from paulipriv.algebra import _verify_block_form
+from paulipriv.constructions import _frame_decomposition
 from paulipriv.cli import _algebra_from_arg
 from paulipriv.groups import generating_set
 from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
@@ -390,3 +395,91 @@ def test_property_qudit_pipeline_against_dense_oracle(case):
     assert np.abs(oracle.rho0 - cert.rho0).max() < 1e-12
     assert structure_type(alg)[0].blocks == ((N // d**m, d**m),)
     assert is_quasiorthogonal(subgroup_algebra(K), alg)
+
+
+# (d, n, k) of pipeline groups: k odd and even, k <= 1 included, d^n <= 64
+FRAME_CASES = [(2, 1, 0), (2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 4), (2, 5, 2), (2, 5, 5),
+               (3, 1, 1), (3, 2, 2), (3, 3, 3), (4, 1, 1), (4, 2, 2), (4, 3, 3), (5, 1, 1),
+               (5, 2, 2)]
+
+
+def pipeline_group(d, n, k):
+    """k transvected Z's on n sites over Z_d, from the first seed whose rows have unit pivots."""
+    for seed in range(100):
+        rng = np.random.default_rng([d, n, k, seed])
+        rows = np.zeros((k, 2 * n), dtype=np.int64)
+        rows[np.arange(k), n + np.arange(k)] = 1
+        moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d))) for _ in range(4)]
+        rows = transvect(rows, moves, d).tolist()
+        K = close([PauliClass(d, n, r[:n], r[n:]) for r in rows], d=d, n=n)
+        if all(h[c] == 1 for h, c in zip(K._gens, K._pivots)):
+            return K
+    raise AssertionError(f"no group with unit pivots for {(d, n, k)}")
+
+
+@pytest.mark.parametrize("d,n,k", FRAME_CASES)
+def test_frame_decomposition_serves_every_dense_consumer(d, n, k):
+    K = pipeline_group(d, n, k)
+    alg, cert = private_algebra_for_abelian(K)
+    N, q = d**n, d ** (k // 2)
+    st, u = structure_type(alg)
+    assert cert.verdict and st.blocks == ((N // q, q),)
+    _verify_block_form(u, alg.basis, st.blocks)  # every basis element, not only the generators
+    assert alg.dim * commutant(alg).dim == N**2
+    E = conditional_expectation(alg)
+    for c in generating_set(alg.subgroup):
+        g = c.to_dense()
+        assert np.abs(apply_channel(E, g) - g).max() < 1e-9
+    report = quasiorth_condition_suite(subgroup_algebra(K), alg)
+    assert report.consistent and report.verdict
+    assert structure_type(alg)[1] is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
+def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch):
+    # the benchmark's certify_pipeline op: close, the pipeline, structure_type and
+    # is_quasiorthogonal(subgroup_algebra(K), alg)
+    import paulipriv.algebra as algebra_module
+    import paulipriv.constructions as constructions_module
+
+    def refuse(A, rng):
+        raise AssertionError("a dense decomposition was drawn")
+
+    stacks = []
+
+    def counting(d, x, z, phases=None):
+        stacks.append(len(x))
+        return dense_paulis(d, x, z, phases)
+
+    monkeypatch.setattr(algebra_module, "_decompose", refuse)
+    monkeypatch.setattr(constructions_module, "dense_paulis", counting)
+    for d, n, k in FRAME_CASES:
+        K = close(generating_set(pipeline_group(d, n, k)), d=d, n=n)
+        pipeline = private_algebra_for_max_abelian if k == n else private_algebra_for_abelian
+        alg, cert = pipeline(K)
+        st, _ = structure_type(alg)
+        assert cert.verdict and st.blocks == ((d**n // d ** (k // 2), d ** (k // 2)),)
+        assert is_quasiorthogonal(subgroup_algebra(K), alg)
+    # one dense stack per case: the 2m generators of the frame, never H or K
+    assert stacks == [2 * (k // 2) for _, _, k in FRAME_CASES]
+
+
+def test_pipeline_at_nine_qubits_reads_no_dense_basis():
+    # |H| N^2 = 256 x 512 x 512 = 2^26 entries, above the dense bound of 2^24
+    alg, cert = private_algebra_for_max_abelian(diagonal_subgroup(2, 9))
+    assert cert.verdict and len(cert.per_basis) == alg.dim == 256
+    assert structure_type(alg)[0].blocks == ((32, 16),)
+    with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+        alg.basis  # noqa: B018 - the first read applies the dense bound
+
+
+def test_frame_refuses_pairs_that_do_not_generate_the_group():
+    # X_2 and Y_1 Y_2 generate 4 classes; with Z_1 adjoined H has 8, so span H is
+    # no I (x) M_2 and the integer check |H| = q^2 refuses before any dense step
+    a, b = np.array([[0, 1, 0, 0]]), np.array([[1, 1, 1, 1]])
+    H = close([cls("IX"), cls("YY"), cls("ZI")])
+    with pytest.raises(PreconditionError, match="generate 8 classes, not 4"):
+        _frame_decomposition(H, a, b)
+    st, _ = _frame_decomposition(close([cls("IX"), cls("YY")]), a, b)
+    assert st.blocks == ((2, 2),)

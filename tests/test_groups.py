@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipriv import (
@@ -26,6 +26,7 @@ from paulipriv.groups import (
     _howell,
     _kernel,
     generating_set,
+    intersect,
     symplectic_partners,
 )
 from helpers import (
@@ -580,3 +581,70 @@ _BIG = annihilator(close((), d=2, n=10))  # all 4^10 classes
 def test_enumeration_above_the_element_bound_is_refused(enumerate_group):
     with pytest.raises(PreconditionError, match="above the bound 1000000"):
         enumerate_group()
+
+
+# ---------------------------------------------------------------------------
+# Intersections
+# ---------------------------------------------------------------------------
+
+
+# every (d, n) with d in {2, 3, 4, 5, 6, 8, 9} and d^(2n) <= 5000
+INTERSECT_SPACES = [(d, n) for d in (2, 3, 4, 5, 6, 8, 9) for n in range(1, 7)
+                    if d ** (2 * n) <= 5000]
+
+
+@st.composite
+def intersect_case(draw):
+    """(d, n, rows of A, rows of B): trivial, full or random subgroups, Abelian or not.
+
+    The rows come from one drawn seed, so that derandomized examples spread over
+    the kinds and sizes instead of clustering at the smallest draws.
+    """
+    d, n = draw(st.sampled_from(INTERSECT_SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    divisors = [s for s in range(1, d) if d % s == 0]
+
+    def rows():
+        kind = rng.integers(0, 4)
+        if kind == 0:  # the trivial group
+            return []
+        if kind == 1:  # the full group
+            return np.eye(2 * n, dtype=np.int64).tolist()
+        # random rows, scaled by divisors of d so that composite d meets non-unit pivots
+        r = rng.integers(0, d, (rng.integers(1, 2 * n + 1), 2 * n))
+        return (r * rng.choice(divisors, (len(r), 1)) % d).tolist()
+
+    return d, n, rows(), rows()
+
+
+@settings(max_examples=350, deadline=None, derandomize=True)
+@given(intersect_case())
+@example((2, 1, [], [[1, 0], [0, 1]]))  # trivial meet full
+@example((3, 2, np.eye(4, dtype=int).tolist(), np.eye(4, dtype=int).tolist()))  # full meet full
+# <XI, ZI> meet <XI, IX> is <XI>
+@example((2, 2, [[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]]))
+@example((4, 1, [[1, 0], [0, 1]], [[2, 2]]))  # <X, Z> meet <X^2 Z^2> over Z_4
+@example((6, 1, [[2, 0], [0, 3]], [[1, 3]]))  # non-unit pivots over Z_6
+def test_property_intersect_matches_enumeration(case):
+    d, n, a_rows, b_rows = case
+    A, B = _subgroup(d, n, a_rows), _subgroup(d, n, b_rows)
+    meet = intersect(A, B)
+    expected = set(map(tuple, A.rows.tolist())) & set(map(tuple, B.rows.tolist()))
+    assert set(map(tuple, meet.rows.tolist())) == expected
+    assert meet.order == len(expected)  # the Howell rows give the exact order
+    assert meet == intersect(B, A) and meet.issubset(A) and meet.issubset(B)
+
+
+def test_intersect_of_large_groups_enumerates_nothing():
+    n = 64  # |K| = 2^64; the encoded subgroup meets K and Ann K = K only in I
+    zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    K, low, high = diagonal_subgroup(2, n), close(zs[: n // 2]), close(zs[n // 2 :])
+    H = encoded_subgroup(K)
+    assert intersect(H, annihilator(K)).order == intersect(K, H).order == 1
+    assert intersect(K, K) == K and intersect(K, low) == low
+    assert intersect(low, high).order == 1 and intersect(H, H) == H
+
+
+def test_intersect_needs_one_space():
+    with pytest.raises(PreconditionError, match="different spaces"):
+        intersect(close([cls("Z")]), close([cls("ZI")]))

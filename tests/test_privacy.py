@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from paulipriv import (
     Channel,
     OperatorAlgebra,
+    PauliClass,
     PreconditionError,
     annihilator,
     apply_channel,
@@ -19,6 +20,7 @@ from paulipriv import (
     commutant,
     conditional_expectation,
     diagonal_algebra,
+    encoded_subgroup,
     full_matrix_algebra,
     is_abelian,
     is_quasiorthogonal,
@@ -30,6 +32,7 @@ from paulipriv import (
     structure_type,
     subgroup_algebra,
 )
+from paulipriv.groups import intersect
 from helpers import (
     haar_unitary,
     planted_basis,
@@ -381,6 +384,18 @@ def certificate_case(draw):
 @example((2, 3, 0, "pauli", 0))
 @example((3, 1, 0, "pauli", 0))
 @example((4, 1, 0, "pauli", 0))
+# one random case per space: the derandomized draws follow the test's source and
+# may skip a space (at 60 examples they never drew (4, 1))
+@example((2, 1, 1, "any", 0))
+@example((2, 2, 2, "abelian", 1))
+@example((2, 3, 3, "any", 2))
+@example((2, 4, 4, "abelian", 0))
+@example((2, 5, 5, "any", 1))
+@example((3, 1, 6, "abelian", 2))
+@example((3, 2, 7, "any", 0))
+@example((3, 3, 8, "abelian", 1))
+@example((4, 1, 9, "any", 2))
+@example((4, 2, 10, "abelian", 0))
 def test_property_subgroup_certificate_against_dense(case):
     d, n, seed, k_mode, h_mode = case
     rng = np.random.default_rng(seed)
@@ -397,6 +412,70 @@ def test_property_subgroup_certificate_against_dense(case):
     else:  # one cyclic group, private for prime d unless it commutes with K
         H = close([random_class(rng, d, n)], d=d, n=n)
     assert_same_certificate(K, H)
+
+
+# every (d, n) with d^n <= 64, prime and composite d
+BRIDGE_SPACES = [(d, n) for d in (2, 3, 4, 5, 6, 7, 8) for n in range(1, 7) if d**n <= 64]
+BRIDGE_ENTRIES = 2**20  # bound on |group| N^2 for each dense basis of the oracle
+
+
+@st.composite
+def bridge_case(draw):
+    """(d, n, seed, k_mode): K Abelian or any subgroup; everything else from the seed."""
+    d, n = draw(st.sampled_from(BRIDGE_SPACES))
+    return d, n, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(["abelian", "any"]))
+
+
+def _bridge_groups(d, n, seed, k_mode):
+    """K, grown until Ann K has a small dense basis, and H: cyclic, random or encoded."""
+    rng, N = np.random.default_rng(seed), d**n
+    K = (random_abelian_subgroup if k_mode == "abelian" else random_subgroup)(rng, d, n)
+    while annihilator(K).order * N * N > BRIDGE_ENTRIES:
+        if k_mode == "abelian":  # a class of Ann K keeps K Abelian
+            rows = annihilator(K).rows
+            r = rows[rng.integers(len(rows))].tolist()
+            g = PauliClass(d, n, tuple(r[:n]), tuple(r[n:]))
+        else:
+            g = random_class(rng, d, n)
+        K = close([*K.elements, g], d=d, n=n)
+    mode = rng.integers(0, 3)
+    if mode == 2 and k_mode == "abelian":
+        try:  # private by construction, unless K has a non-unit pivot
+            return K, encoded_subgroup(K)
+        except PreconditionError:
+            pass
+    gens = [random_class(rng, d, n) for _ in range(1 if mode == 0 else rng.integers(1, n + 1))]
+    H = close(gens, d=d, n=n)
+    while H.order * N * N > BRIDGE_ENTRIES:
+        gens.pop()
+        H = close(gens, d=d, n=n)
+    return K, H
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bridge_case())
+@example((2, 2, 0, "abelian"))
+@example((4, 3, 1, "any"))
+@example((6, 2, 2, "abelian"))
+@example((8, 2, 3, "any"))
+@example((2, 6, 4, "abelian"))
+def test_property_privacy_is_quasiorthogonality_to_the_annihilator(case):
+    # The paper's bridge: Phi_K privatizes span H exactly when span H is
+    # quasiorthogonal to the commutant of the Kraus algebra, span Ann K.  The
+    # integer certificate, the intersection, the integer quasiorthogonality and
+    # the dense trace condition on copies that carry no subgroup all agree.
+    K, H = _bridge_groups(*case)
+    ann = annihilator(K)
+    a, b = subgroup_algebra(H), subgroup_algebra(ann)
+    a_dense, b_dense = OperatorAlgebra(a.basis), OperatorAlgebra(b.basis)
+    assert a_dense.subgroup is None and b_dense.subgroup is None
+    verdicts = {
+        check_privatized_subgroup(K, H).verdict,
+        intersect(H, ann).order == 1,
+        is_quasiorthogonal(a, b),
+        is_quasiorthogonal(a_dense, b_dense),
+    }
+    assert len(verdicts) == 1
 
 
 def test_subgroup_certificate_refusals():
