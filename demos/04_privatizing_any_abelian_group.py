@@ -17,10 +17,10 @@ from paulipriv import (
     close,
     diagonal_subgroup,
     encoded_subgroup,
-    max_private_qubits,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
     structure_type,
+    subgroup_algebra,
 )
 from paulipriv.groups import generating_set
 
@@ -33,11 +33,18 @@ def random_maximal(rng, n):
     return group
 
 
+def hidden_qubits(blocks):
+    """m for the blocks ((N / 2^m, 2^m),) of m private qubits."""
+    (_, q), = blocks
+    return q.bit_length() - 1
+
+
 print("== the encoded subgroup of the diagonal group ==")
 for n in (2, 4, 5):
     H = encoded_subgroup(diagonal_subgroup(2, n))
     gens = ", ".join(str(c) for c in generating_set(H))
-    print(f"n = {n}: {max_private_qubits(n)} encoded qubits, |H| = {len(H)}, "
+    m = hidden_qubits(structure_type(subgroup_algebra(H))[0].blocks)
+    print(f"n = {n}: {m} encoded qubits, |H| = {len(H)}, "
           f"generated by {gens}")
 
 print("\n== random maximal Abelian subgroups, n = 2..5 ==")
@@ -50,7 +57,7 @@ for n in (2, 3, 4, 5):
     print(f"n = {n}: G from [{gens_preview}, ...] -> "
           f"{'certified' if cert.verdict else 'FAILED'} "
           f"(deviation {cert.max_deviation:.1e}), structure {st.blocks} "
-          f"= {max_private_qubits(n)} hidden qubits")
+          f"= {hidden_qubits(st.blocks)} hidden qubits")
 
 print("\n== a non-maximal subgroup still hides floor(k/2) qubits ==")
 from paulipriv import parse_pauli

@@ -24,10 +24,8 @@ from .algebra import (
     structure_type,
 )
 from .constructions import (
-    PauliAlgebra,
     TwoQutritReport,
     channel_from_subgroup,
-    max_private_qubits,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
     quasiorthogonal_to_diagonal,

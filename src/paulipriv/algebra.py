@@ -12,10 +12,10 @@ Japan J. Indust. Appl. Math. 27, 2010) in O(dim A N^2 + N^3), with no
 N^2 x N^2 matrix.  Each algebra computes it once and keeps it; the commutant
 U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the conditional expectation read it.
 
-The span of a Pauli subgroup (:class:`~paulipriv.constructions.PauliAlgebra`)
-keeps its subgroup and builds its basis only on first read, under the same
-bound.  The pipeline's private algebra also keeps its encoded pairs, and its
-decomposition is built from that frame, with no basis and no generic element.
+The span of a Pauli subgroup (:func:`~paulipriv.constructions.subgroup_algebra`,
+the one way in) keeps its subgroup; its basis is built on first read, where
+the same bound refuses it, and integer quasiorthogonality works at any n.  The
+pipeline's algebra is built from its encoded frame, with no generic element.
 
 Rank, cluster and coupling decisions are never silent: singular values,
 eigenvalue gaps or coupling norms inside a factor-of-ten window around the
@@ -64,10 +64,15 @@ _MAX_DENSE_ENTRIES = 2**24  # bound on count * N^2 for dense operator stacks
 
 def _require_dense(count: int, N: int, what: str, hint: str = "") -> None:
     """Refuse a stack of ``count`` dense N x N operators above the size bound."""
-    if count * N * N > _MAX_DENSE_ENTRIES:
+    entries = count * N * N
+    if entries > _MAX_DENSE_ENTRIES:
+        try:
+            need = f"{count} x {N} x {N} = {entries}"
+        except ValueError:  # more digits than str() prints, as for N = 2^20000
+            need = f"at least 2^{entries.bit_length() - 1}"
         raise PreconditionError(
-            f"{what} need {count} x {N} x {N} = {count * N * N} complex entries, "
-            f"above the limit of {_MAX_DENSE_ENTRIES}" + (f"; {hint}" if hint else "")
+            f"{what} need {need} complex entries, above the limit of {_MAX_DENSE_ENTRIES}"
+            + (f"; {hint}" if hint else "")
         )
 
 
@@ -87,8 +92,8 @@ class OperatorAlgebra:
     ``basis`` has shape (dim, N, N) with tr(b_i^dag b_j) = delta_ij.  Use
     :func:`span_closure` to build one from arbitrary generators.  ``subgroup``
     is None here; the span of a Pauli subgroup
-    (:class:`~paulipriv.constructions.PauliAlgebra`) keeps the subgroup and
-    builds its basis only on first read.
+    (:func:`~paulipriv.constructions.subgroup_algebra`) keeps the subgroup
+    and builds its basis only on first read.
     """
 
     basis: np.ndarray

@@ -53,8 +53,16 @@ def _default(fn, name: str = "tol"):
 
 
 def _check_n(d: int, n: int | None, N: int, what: str) -> None:
-    if n is not None and d**n != N:
+    # d^n >= 2^n > N once n reaches N's bit length, so a huge --n costs no power
+    if n is not None and (n >= N.bit_length() or d**n != N):
         raise FormatError(f"argument --n: d^n = {d}^{n} disagrees with N = {N} of {what}")
+
+
+def _dim(d: int, n: int) -> int:
+    """d^n for a dense operator; a power of over 2^16 bits is refused uncomputed."""
+    if n * d.bit_length() > 2**16:  # d^n >= 2^(n (bits - 1)): far above the dense bound
+        raise PreconditionError(f"d^n = {d}^{n} is too large for any dense operator")
+    return d**n
 
 
 def _close_gens(text: str, d: int, n: int | None) -> "PauliSubgroup":
@@ -81,7 +89,7 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
     if text in ("scalars", "full"):
         if n is None:
             raise PreconditionError(f"--n is required for the named algebra {text!r}")
-        dim = d**n
+        dim = _dim(d, n)
         return scalar_algebra(dim) if text == "scalars" else full_matrix_algebra(dim)
     if text.endswith(".json"):
         alg = serialize.algebra_from_obj(serialize.read_json(text))
@@ -90,6 +98,7 @@ def _algebra_from_arg(text: str, d: int, n: int | None):
         if not elems:
             raise FormatError(f"empty algebra description {text!r}")
         alg = subgroup_algebra(close(elems))
+        alg.basis  # noqa: B018 - every command reads it; refuse a large one before --n
     _check_n(d, n, alg.N, f"the algebra {text!r}")
     return alg
 
@@ -290,7 +299,7 @@ def _certify_channel(args) -> tuple[Channel, str]:
     if args.channel == "identity":
         if args.n is None:
             raise PreconditionError("--n is required for the identity channel")
-        return Channel.identity(args.d**args.n), "identity channel"
+        return Channel.identity(_dim(args.d, args.n)), "identity channel"
     if args.group is not None:
         if not args.group.strip():
             raise PreconditionError("--group needs at least one generator")
@@ -337,7 +346,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_phaseflip(args) -> int:
-    worst, rho0 = phase_flip_demo(seed=args.seed)
+    worst = phase_flip_demo(seed=args.seed)
     ok = worst < 1e-8
     lines = [
         "two-qubit phase-flip channel, Kraus = half of each diagonal Pauli",

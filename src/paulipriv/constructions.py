@@ -15,18 +15,17 @@ construction; a non-Abelian K, or one whose Howell rows have a non-unit pivot
 The pipeline's certificate is read off the intersection of H and Ann K by
 :func:`~paulipriv.privacy.check_privatized_subgroup`, with no dense channel;
 the dense :func:`~paulipriv.privacy.check_privatized_algebra` stays the test
-oracle and certifies what the CLI is given.  Dense class stacks come from one
-:func:`~paulipriv.pauli.dense_paulis` call per subgroup.
+oracle and certifies what the CLI is given.
 
-Every Pauli-spanned algebra here is a :class:`PauliAlgebra`: it keeps its
-subgroup and builds its dense basis only on first read, under the dense bound,
-and :func:`~paulipriv.privacy.is_quasiorthogonal` decides two of them from
-K meet H.  The pipeline's algebra also keeps its encoded pairs, and
-:func:`~paulipriv.algebra.structure_type` builds its block unitary from that
-frame.  So the pipeline, its blocks and its quasiorthogonality build no basis;
-what bounds the pipeline is the certificate's rho0, which needs N <= 4096.
-``privacy certify --construct`` hashes the dense basis, so it stays bounded by
-that.
+:func:`subgroup_algebra` is the one public way to build the span of a Pauli
+subgroup K.  It keeps K and builds nothing: the one dense class stack of K is
+built, under the dense bound, on the first basis read, which is where a large
+K is refused.  :func:`~paulipriv.privacy.is_quasiorthogonal` decides two such
+spans from K meet H, at any n.  The pipeline's algebra also keeps its encoded
+pairs, and :func:`~paulipriv.algebra.structure_type` builds its block unitary
+from that frame, so the pipeline builds no basis; what bounds it is the
+certificate's rho0, N <= 4096, and ``privacy certify --construct`` hashes the
+dense basis.
 """
 
 from __future__ import annotations
@@ -58,17 +57,9 @@ from .privacy import (
     kraus_mutually_commuting,
 )
 
-# Where a dense stack is refused, the privacy question itself stays answerable.
-_INTEGER_ROUTE = (
-    "check_privatized_subgroup(K, H) decides the privacy of span H from H and "
-    "annihilator(K), with no operator stack and only the N x N fixed state"
-)
-
 __all__ = [
-    "PauliAlgebra",
     "TwoQutritReport",
     "channel_from_subgroup",
-    "max_private_qubits",
     "private_algebra_for_abelian",
     "private_algebra_for_max_abelian",
     "quasiorthogonal_to_diagonal",
@@ -77,16 +68,20 @@ __all__ = [
 ]
 
 
-def _require_dense_classes(K: PauliSubgroup) -> None:
-    _require_dense(K.order, K.d**K.n, "the subgroup's dense class representatives",
-                   _INTEGER_ROUTE)
+def _dense_classes(K: PauliSubgroup, what: str) -> np.ndarray:
+    """K's class representatives in canonical order; a refusal names the integer route."""
+    _require_dense(K.order, K.d**K.n, what,
+                   "check_privatized_subgroup(K, H) decides the privacy of span H from H and "
+                   "annihilator(K), with no operator stack and only the N x N fixed state")
+    return dense_paulis(K.d, *K.xz_arrays())
 
 
 class PauliAlgebra(OperatorAlgebra):
     """span H for a Pauli subgroup H, kept as H; the dense basis is built on first read.
 
-    The basis is the class representatives of H in canonical order over
-    sqrt(N), under the dense bound.  With ``pairs``, the (x | z) rows
+    Not exported: :func:`subgroup_algebra` builds it, and only the pipeline
+    passes ``pairs``.  The basis is the class representatives of H in
+    canonical order over sqrt(N).  With ``pairs``, the (x | z) rows
     (a_i, b_i) of encoded pairs that generate H, the block decomposition comes
     from that frame (:func:`_frame_decomposition`) and reads no basis;
     otherwise it is the dense one of :func:`~paulipriv.algebra.structure_type`.
@@ -106,9 +101,8 @@ class PauliAlgebra(OperatorAlgebra):
 
     @cached_property
     def basis(self) -> np.ndarray:
-        H = self.subgroup
-        _require_dense_classes(H)
-        out = dense_paulis(H.d, *H.xz_arrays()) / math.sqrt(self.N)
+        out = _dense_classes(self.subgroup, "the subgroup's dense class representatives")
+        out = out / math.sqrt(self.N)
         out.setflags(write=False)
         return out
 
@@ -168,10 +162,10 @@ def _frame_decomposition(H: PauliSubgroup, a: np.ndarray, b: np.ndarray):
 def subgroup_algebra(K: PauliSubgroup) -> OperatorAlgebra:
     """The span of a subgroup's class representatives as an operator algebra.
 
-    It keeps K; its dense basis is built on first read, and a K above the
-    dense bound is refused here, before any use.
+    The one public way to build a Pauli-spanned algebra.  It keeps K and builds
+    nothing; the first basis read builds it, or refuses a K above the dense
+    bound.  Integer quasiorthogonality of two of them answers at any n.
     """
-    _require_dense_classes(K)
     return PauliAlgebra(K)
 
 
@@ -182,17 +176,8 @@ def channel_from_subgroup(G: PauliSubgroup) -> Channel:
     equal weights make the channel trace preserving, and global phases cancel
     in K rho K^dag, so the quotient classes determine the channel.
     """
-    _require_dense(G.order, G.d**G.n, "the subgroup's dense Kraus operators",
-                   _INTEGER_ROUTE)
     scale = 1.0 / math.sqrt(G.order)
-    return Channel(dense_paulis(G.d, *G.xz_arrays()) * scale)
-
-
-def max_private_qubits(n: int) -> int:
-    """Number of qubits these channels can privatize on n sites: floor(n/2)."""
-    if n < 1:
-        raise PreconditionError(f"site count must be >= 1, got {n}")
-    return n // 2
+    return Channel(_dense_classes(G, "the subgroup's dense Kraus operators") * scale)
 
 
 def private_algebra_for_abelian(
@@ -359,11 +344,11 @@ def two_qutrit_demo(perturb: bool = False) -> TwoQutritReport:
     return TwoQutritReport(checks=tuple(checks), block_scale=scale)
 
 
-def phase_flip_demo(seed: int = 2016) -> tuple[float, np.ndarray]:
+def phase_flip_demo(seed: int = 2016) -> float:
     """Sweep random encoded states through the two-qubit phase-flip channel.
 
-    Returns the worst deviation of the outputs from I/4 and the fixed state,
-    over 100 random positive unit-trace inputs in the span of the privatized
+    Returns the worst deviation of the outputs from the fixed state I/4, over
+    100 random positive unit-trace inputs in the span of the privatized
     algebra.
     """
     group = close(
@@ -385,4 +370,4 @@ def phase_flip_demo(seed: int = 2016) -> tuple[float, np.ndarray]:
         if np.linalg.eigvalsh(rho).min() < -1e-12:
             raise PreconditionError("sampled state is not positive semidefinite")
         worst = max(worst, float(np.abs(apply_channel(phi, rho) - eye4 / 4).max()))
-    return worst, eye4 / 4
+    return worst

@@ -13,6 +13,7 @@ modules.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -270,15 +271,15 @@ class CharacterMatrix:
         values = np.array([omega_power(self.d, k) for k in range(self.d)])
         return values[self.exponents]
 
-    @property
-    def size(self) -> int:
-        return len(self.classes)
-
 
 def character_matrix(d: int, n: int) -> CharacterMatrix:
     """Materialize the chi table for all of P_n (size d^{2n} per side)."""
-    side = d ** (2 * n)
-    if side > _MAX_CHARACTER_SIDE:
+    # d^(2n) >= 4^n, so n alone refuses a large table and no huge power is computed
+    if 2 * n >= _MAX_CHARACTER_SIDE.bit_length() or d ** (2 * n) > _MAX_CHARACTER_SIDE:
+        side = f"{d}^{2 * n}"
+        if n * d.bit_length() <= 2**16:  # cheap to compute: print it where str() can
+            with contextlib.suppress(ValueError):
+                side = str(d ** (2 * n))
         raise PreconditionError(
             f"character matrix side {side} exceeds the bound {_MAX_CHARACTER_SIDE}"
         )

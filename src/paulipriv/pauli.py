@@ -64,8 +64,8 @@ def omega_power(d: int, k: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _dense_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only zeta^0..zeta^{2d-1} and single-site X^a @ Z^b, indexed [a, b]."""
+def _dense_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only zeta^0..zeta^{2d-1} and the single-site powers X^a and Z^b."""
     zeta = np.array([zeta_power(d, k) for k in range(2 * d)])
     shift = np.zeros((d, d), dtype=complex)
     for i in range(d):
@@ -73,10 +73,9 @@ def _dense_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     clock = np.diag([omega_power(d, j) for j in range(d)])
     xp = np.stack([np.linalg.matrix_power(shift, a) for a in range(d)])
     zp = np.stack([np.linalg.matrix_power(clock, b) for b in range(d)])
-    site = np.stack([np.stack([xp[a] @ zp[b] for b in range(d)]) for a in range(d)])
-    zeta.setflags(write=False)
-    site.setflags(write=False)
-    return zeta, site
+    for table in (zeta, xp, zp):
+        table.setflags(write=False)
+    return zeta, xp, zp
 
 
 def dense_paulis(d: int, x, z, phases=None) -> np.ndarray:
@@ -101,10 +100,12 @@ def dense_paulis(d: int, x, z, phases=None) -> np.ndarray:
     phases = np.zeros(m, dtype=np.int64) if phases is None else np.asarray(phases)
     if phases.shape != (m,):
         raise PreconditionError(f"need {m} phase exponents, got shape {phases.shape}")
-    zeta, site = _dense_tables(d)
+    zeta, xp, zp = _dense_tables(d)
+    # one X^a @ Z^b per operator and site, m n d^2 <= m N^2 entries; all d^2 hold d^4
+    site = xp[x] @ zp[z]
     out = zeta[phases % (2 * d)].reshape(m, 1, 1)
     for k in range(n):
-        s = site[x[:, k], z[:, k]]
+        s = site[:, k]
         r = out.shape[1] * d
         out = (out[:, :, None, :, None] * s[:, None, :, None, :]).reshape(m, r, r)
     return out

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -583,6 +584,8 @@ DIAGONAL_QUQUARTS = ",".join(
     # |K| = 4^5 Kraus operators of size 1024 x 1024
     ["privacy", "certify", "--group", DIAGONAL_QUQUARTS, "--d", "4",
      "--algebra", "scalars"],
+    # the algebra's basis is refused before its N = 256 is compared with 4^3
+    ["privacy", "quasiorth", "--a", QUQUART_SITES, "--b", "scalars", "--d", "4", "--n", "3"],
 ])
 def test_subgroup_size_bound_names_the_integer_route(capsys, argv):
     tracemalloc.start()
@@ -731,10 +734,38 @@ def single_site_zs(n):
     return ",".join("I" * i + "Z" + "I" * (n - 1 - i) for i in range(n))
 
 
+# a huge --n: d^n has more digits than str() prints, or takes minutes to compute
+LARGE_N = [
+    ("privacy quasiorth --a scalars --b full --n 20000", 3),
+    ("channel condexp --algebra full --n 20000", 3),
+    ("privacy certify --channel identity --n 20000 --algebra scalars", 3),
+    ("group charmatrix --n 20000", 3),
+    ("group close --d 3 --gens X1:I --n 100000000", 2),
+]
+
+
+@pytest.mark.parametrize("argv,expected", LARGE_N + [
+    ("privacy quasiorth --a scalars --b full --d 3 --n 100000000", 3),
+    ("group charmatrix --d 3 --n 100000000", 3),
+    ("channel from-group --n 20000", 3),
+])
+def test_large_n_is_refused_at_once(capsys, argv, expected):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 3.0
+    assert code == expected and "Traceback" not in err
+    assert ("disagrees with N = 9" if expected == 2 else "precondition violated") in err
+
+
 def test_fuzz_main_exits_0_to_3_without_raising(fuzz_dir):
     # derandomized draws seldom build a valid large group; these reach exit 0
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fuzz_argv(fuzz_dir))
+    @example((LARGE_N[0][0].split(), None))
+    @example((LARGE_N[1][0].split(), None))
+    @example((LARGE_N[2][0].split(), None))
+    @example((LARGE_N[3][0].split(), None))
+    @example((LARGE_N[4][0].split(), None))
     @example((["group", "abelian", "--gens", single_site_zs(64)], None))
     @example((["group", "close", "--gens", single_site_zs(12)], None))
     @example((["group", "annihilator", "--gens", single_site_zs(12)], None))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import paulipriv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from paulipriv import (
     full_matrix_algebra,
     is_quasiorthogonal,
     kraus_mutually_commuting,
-    max_private_qubits,
     parse_pauli,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
@@ -157,9 +157,11 @@ def test_channel_from_nonabelian_subgroup():
 def test_dense_refusal_names_the_integer_route_which_answers():
     K = diagonal_subgroup(4, 5)  # 1024 Kraus operators on C^1024: refused
     H = close([cls("X1:I:I:I:I", 4)])
-    for build in (channel_from_subgroup, subgroup_algebra):
-        with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
-            build(K)
+    with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+        channel_from_subgroup(K)
+    alg = subgroup_algebra(K)  # builds nothing; the first basis read is refused
+    with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+        alg.basis  # noqa: B018
     cert = check_privatized_subgroup(K, H)
     assert cert.verdict and cert.per_basis == (0.0,) * 4
     assert not check_privatized_subgroup(K, close([cls("Z2:I:I:I:I", 4)])).verdict
@@ -217,9 +219,12 @@ def test_pipeline_refuses_a_group_above_the_len_limit_by_its_size_bound():
     for pipeline in (private_algebra_for_abelian, private_algebra_for_max_abelian):
         with pytest.raises(PreconditionError, match="the fixed state rho0"):
             pipeline(K)
-    for build in (subgroup_algebra, channel_from_subgroup):
-        with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
-            build(K)
+    with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+        channel_from_subgroup(K)
+    alg = subgroup_algebra(K)
+    assert alg.dim == K.order and alg.N == 2**n
+    with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
+        alg.basis  # noqa: B018 - the first read applies the dense bound
 
 
 def test_general_pipeline_k1_scalar():
@@ -266,14 +271,6 @@ def test_quasiorthogonal_to_diagonal():
     assert not quasiorthogonal_to_diagonal(diagonal_algebra(4))
 
 
-def test_max_private_qubits():
-    assert max_private_qubits(2) == 1
-    assert max_private_qubits(1) == 0
-    assert max_private_qubits(5) == 2
-    with pytest.raises(PreconditionError):
-        max_private_qubits(0)
-
-
 def test_two_qutrit_demo_passes():
     report = two_qutrit_demo()
     assert report.passed
@@ -303,13 +300,16 @@ def test_abelian_channels_always_commute():
 
 @st.composite
 def qubit_abelian_case(draw):
-    """(n, commuting independent qubit rows) for n <= 5: transvected Z's."""
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(0, n))
+    """(n, commuting independent qubit rows) for n <= 5: transvected Z's.
+
+    n, k and the moves come from one drawn seed, as in :func:`qudit_abelian_case`.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, n + 1))
     rows = np.zeros((k, 2 * n), dtype=np.int64)
     rows[np.arange(k), n + np.arange(k)] = 1
-    vec = st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)
-    moves = draw(st.lists(st.tuples(vec, st.just(1)), max_size=6))
+    moves = [(rng.integers(0, 2, 2 * n), 1) for _ in range(rng.integers(0, 7))]
     return n, transvect(rows, moves, 2).tolist()
 
 
@@ -472,6 +472,20 @@ def test_pipeline_at_nine_qubits_reads_no_dense_basis():
     assert structure_type(alg)[0].blocks == ((32, 16),)
     with pytest.raises(PreconditionError, match="check_privatized_subgroup"):
         alg.basis  # noqa: B018 - the first read applies the dense bound
+
+
+def test_integer_quasiorthogonality_builds_no_dense_stack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense stack was built")
+
+    monkeypatch.setattr(paulipriv.pauli, "dense_paulis", refuse)
+    monkeypatch.setattr(paulipriv.constructions, "dense_paulis", refuse)
+    K = diagonal_subgroup(2, 9)  # 512 x 512 x 512 entries, above the dense bound
+    alg = subgroup_algebra(encoded_subgroup(K))
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)
+    K = diagonal_subgroup(2, 64)
+    assert is_quasiorthogonal(subgroup_algebra(K), subgroup_algebra(encoded_subgroup(K)))
+    assert not is_quasiorthogonal(subgroup_algebra(K), subgroup_algebra(K))
 
 
 def test_frame_refuses_pairs_that_do_not_generate_the_group():

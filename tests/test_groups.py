@@ -367,14 +367,19 @@ def subgroup_case(draw):
 
 @st.composite
 def abelian_case(draw):
-    """Commuting generator rows: scaled Z's moved by random symplectic transvections."""
+    """Commuting generator rows: scaled Z's moved by random symplectic transvections.
+
+    The row count, scales and moves come from one drawn seed, so that
+    derandomized examples spread over them instead of clustering at the
+    smallest draws.
+    """
     d, n = draw(st.sampled_from(SPACES))
-    scales = draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = rng.integers(1, d, int(rng.integers(1, n + 1)))
     rows = np.zeros((len(scales), 2 * n), dtype=np.int64)
-    for i, s in enumerate(scales):
-        rows[i, n + i] = s
-    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
-    moves = draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=4))
+    rows[np.arange(len(scales)), n + np.arange(len(scales))] = scales
+    moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d)))
+             for _ in range(rng.integers(0, 5))]
     return d, n, transvect(rows, moves, d).tolist()
 
 
@@ -488,14 +493,18 @@ def test_symplectic_partners_z_type_large_n(k):
 
 @st.composite
 def free_abelian_case(draw):
-    """Commuting rows of scale 1 over d in {2, 3, 5, 4, 6}, n <= 8: transvected Z's."""
+    """Commuting rows of scale 1 over d in {2, 3, 5, 4, 6}, n <= 8: transvected Z's.
+
+    n, k and the moves come from one drawn seed, as in :func:`abelian_case`.
+    """
     d = draw(st.sampled_from([2, 3, 5, 4, 6]))
-    n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, n + 1))
     rows = np.zeros((k, 2 * n), dtype=np.int64)
     rows[np.arange(k), n + np.arange(k)] = 1
-    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
-    moves = draw(st.lists(st.tuples(vec, st.integers(1, d - 1)), max_size=6))
+    moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d)))
+             for _ in range(rng.integers(0, 7))]
     return d, n, transvect(rows, moves, d).tolist()
 
 

@@ -1,6 +1,7 @@
 """Symbolic Pauli arithmetic against dense-matrix oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from paulipriv import (
     dense_paulis,
     parse_pauli,
 )
+from paulipriv.pauli import _dense_tables
 from helpers import W3, X2, Y2, Z2, X3, Z3, dense_oracle, random_class, root_of_unity
 
 
@@ -82,6 +84,29 @@ def test_dense_paulis_and_to_dense_every_class_against_oracle(d, n):
                 assert np.array_equal(u, phased)
             else:
                 assert np.abs(u - phased).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_dense_paulis_single_sites_match_the_full_table_bit_for_bit(d):
+    # the table of all d^2 products X^a @ Z^b, which dense_paulis no longer keeps
+    zeta, xp, zp = _dense_tables(d)
+    a, b = np.divmod(np.arange(d * d), d)
+    stack = dense_paulis(d, a[:, None], b[:, None])
+    for i in range(d * d):
+        assert stack[i].tobytes() == (zeta[0] * (xp[a[i]] @ zp[b[i]])).tobytes()
+
+
+def test_dense_paulis_at_d128_builds_no_table_of_all_products():
+    # all 128^2 products would take 4 GiB; the 128 classes X^a take 32 MiB
+    _dense_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        stack = dense_paulis(128, np.arange(128)[:, None], np.zeros((128, 1), dtype=int))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (128, 128, 128)
+    assert peak < 256 * 2**20
 
 
 def test_dense_paulis_shapes_and_refusals():
