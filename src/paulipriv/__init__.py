@@ -28,7 +28,6 @@ from .constructions import (
     channel_from_subgroup,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
-    quasiorthogonal_to_diagonal,
     subgroup_algebra,
     two_qutrit_demo,
 )

@@ -43,7 +43,8 @@ from .constructions import (
     two_qutrit_demo,
 )
 from .errors import FormatError, NumericalAmbiguityError, PreconditionError
-from .groups import annihilator, character_matrix, close, extend_to_maximal, is_abelian
+from .groups import (_require_enumerable, annihilator, character_matrix, close,
+                     extend_to_maximal, is_abelian)
 from .pauli import parse_pauli
 from .privacy import check_privatized_algebra, quasiorth_condition_suite
 
@@ -192,10 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_subgroup(args) -> int:
+    # annihilator and extend print d^(2n) / |K| and d^n elements: a group above the bound
+    # is refused before any solve, and with no --gens before close builds the identity
+    k = {"annihilator": 2, "extend": 1}.get(args.action)
+    if k and args.n is not None and not args.gens.replace(",", "").strip():
+        _require_enumerable(args.d, k * args.n)
     K = _close_gens(args.gens, args.d, args.n)
     if args.action == "annihilator":
+        _require_enumerable(K.d, 2 * K.n, K.order)
         K = annihilator(K)
     elif args.action == "extend":
+        _require_enumerable(K.d, K.n)
         K = extend_to_maximal(K)
     if args.out:
         serialize.write_subgroup(args.out, K)

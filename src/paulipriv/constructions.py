@@ -43,7 +43,6 @@ from .algebra import (
     _require_dense,
     _verify_block_form,
     apply_channel,
-    diagonal_algebra,
     structure_type,
 )
 from .errors import NumericalAmbiguityError, PreconditionError
@@ -62,7 +61,6 @@ __all__ = [
     "channel_from_subgroup",
     "private_algebra_for_abelian",
     "private_algebra_for_max_abelian",
-    "quasiorthogonal_to_diagonal",
     "subgroup_algebra",
     "two_qutrit_demo",
 ]
@@ -202,24 +200,6 @@ def private_algebra_for_max_abelian(
             f"subgroup of size {G.order} is not maximal on {G.n} sites"
         )
     return private_algebra_for_abelian(G)
-
-
-def quasiorthogonal_to_diagonal(A: OperatorAlgebra) -> bool:
-    """Is A quasiorthogonal to the diagonal algebra on its space?
-
-    Evaluated directly on basis pairs; the block structure of A provides a
-    necessary condition (every multiplicity must reach its block size), and
-    an impossible combination of the two verdicts raises.
-    """
-    direct = is_quasiorthogonal(A, diagonal_algebra(A.N))
-    st, _ = structure_type(A)
-    admissible = all(k >= q for k, q in st.blocks)
-    if direct and not admissible:
-        raise PreconditionError(
-            "direct quasiorthogonality contradicts the block-structure bound; "
-            "numerical results are inconsistent"
-        )
-    return direct
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Abelian extensions are integer linear algebra over Z_d.  One code path serves
 every d >= 2, prime or composite: a subgroup is held as the Howell form of its
 generator rows, which give its exact order.  Its elements are enumerated from
 those rows only on demand, never found by scanning P_n, and enumeration alone
-is bounded (10^6 elements), so groups of any order are built, compared and
-solved without it.  Dense matrices appear only in tests and in downstream
+is bounded (10^6 elements).  No operation here lists elements: groups of any
+order are built, compared, intersected and extended to maximal Abelian ones
+by Howell forms alone.  Dense matrices appear only in tests and in downstream
 modules.
 """
 
@@ -106,6 +107,16 @@ def _residue(rows, K: PauliSubgroup) -> np.ndarray:
     return out
 
 
+def _require_enumerable(d: int, k: int, m: int = 1) -> None:
+    """Refuse to enumerate a group of d^k / m elements above the bound; a huge one uncomputed."""
+    e = k * (d.bit_length() - 1) - (m - 1).bit_length()  # d^k / m >= 2^e
+    if e >= _MAX_ELEMENTS.bit_length():
+        size = f"at least 2^{e}"
+    elif (size := d**k // m) <= _MAX_ELEMENTS:
+        return
+    raise PreconditionError(f"{size} elements, above the bound {_MAX_ELEMENTS} on enumeration")
+
+
 def _class_rows(classes, n: int) -> np.ndarray:
     rows = np.array([c.x + c.z for c in classes], dtype=np.int64)
     return rows.reshape(len(classes), 2 * n)
@@ -140,10 +151,7 @@ class PauliSubgroup:
     @cached_property
     def rows(self) -> np.ndarray:
         """Read-only (x | z) exponent rows of all elements, canonical order."""
-        if self.order > _MAX_ELEMENTS:
-            raise PreconditionError(
-                f"{self.order} elements, above the bound {_MAX_ELEMENTS} on enumeration"
-            )
+        _require_enumerable(self.order, 1)
         d, n, width = self.d, self.n, 2 * self.n
         dtype = np.min_scalar_type(2 * (d - 1))
         out = np.zeros((1, width), dtype=dtype)
@@ -298,10 +306,10 @@ def annihilator(K: PauliSubgroup) -> PauliSubgroup:
     return PauliSubgroup._from_howell(K.d, K.n, *_commuting(K._gens, K.d))
 
 
-def _commuting(rows: np.ndarray, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Howell form of the classes v with chi(r, v) = 1 for every (x | z) row r."""
+def _commuting(rows: np.ndarray, d: int, order=slice(None)) -> tuple[np.ndarray, tuple]:
+    """Howell form of the classes v[order] with chi(r, v) = 1 for every (x | z) row r."""
     n = rows.shape[1] // 2
-    return _kernel(np.hstack([-rows[:, n:], rows[:, :n]]), d)
+    return _kernel(np.hstack([-rows[:, n:], rows[:, :n]])[:, order], d)
 
 
 def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
@@ -363,24 +371,24 @@ def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
 
     Each round adjoins the canonically smallest class of Ann K \\ K, K being the
     group grown so far; the result is Abelian of size exactly d^n and contains
-    the input.  A maximal input is returned as it is; otherwise Ann K is
-    enumerated once, for the input, so the bound on enumeration applies to it.
-    After each round only the classes commuting with the adjoined g are kept,
-    since Ann <K, g> is the intersection of Ann K and Ann g.
+    the input.  A round is one kernel solve, with the variables ordered by their
+    significance in the canonical class order (z_n, x_n, ..., z_1, x_1), so the
+    Howell rows of Ann K from row j on span exactly its elements that vanish
+    before pivot j.  With j the last row outside K, the rows after j lie in K,
+    and the smallest class outside K is row j reduced by them.  Nothing is
+    enumerated, so no element bound applies.
     """
     if not is_abelian(K):
         raise PreconditionError("extend_to_maximal requires an Abelian subgroup")
     d, n = K.d, K.n
-    if K.order == d**n:  # already maximal: nothing to enumerate
-        return K
-    cand = annihilator(K).rows
-    while K.order < d**n:
-        # cand holds Ann K in canonical order; its first |K| + 1 rows include
-        # a class outside K, since at most |K| of them lie in K
-        head = cand[: K.order + 1]
-        g = head[_residue(head, K).any(axis=1)][0].astype(np.int64)
+    order = np.arange(2 * n).reshape(2, n)[::-1, ::-1].T.reshape(-1)  # z_n, x_n, ..., x_1
+    back = np.argsort(order)
+    while K.order < d**n:  # |K| |Ann K| = d^(2n), so Ann K is larger than K
+        h, pivots = _commuting(K._gens, d, order)
+        j = np.flatnonzero(_residue(h[:, back], K).any(axis=1))[-1]
+        after = PauliSubgroup._from_howell(d, n, h[j + 1 :], pivots[j + 1 :])
+        g = _residue(h[j : j + 1], after)[0, back]
         K = PauliSubgroup._span(d, n, np.vstack([K._gens, g]))
-        cand = cand[_chi_rows(cand, g[None, :], d)[:, 0] == 0]
     return K
 
 

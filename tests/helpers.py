@@ -13,6 +13,7 @@ import numpy as np
 
 from paulipriv import PauliClass, all_classes, annihilator, close, conditional_expectation
 from paulipriv.algebra import superoperator
+from paulipriv.groups import generating_set
 
 W3 = np.exp(2j * np.pi / 3)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,3 +230,18 @@ def superoperator_conditions(A, B) -> tuple[float, float]:
     target = np.outer(vec_eye, vec_eye) / n
     dev4 = max(np.abs(sa @ sb - target).max(), np.abs(sb @ sa - target).max())
     return float(dev3), float(dev4)
+
+
+def enumerating_extension(K):
+    """Maximal Abelian extension of K by listing Ann K: the rule stated by its definition.
+
+    Each round adjoins the first class of Ann K, in canonical order, that lies
+    outside K, and keeps only the listed classes that commute with it.
+    """
+    d, n = K.d, K.n
+    cand = np.asarray(annihilator(K).rows, dtype=np.int64)
+    while K.order < d**n:
+        g = next(r for r in cand if PauliClass(d, n, r[:n], r[n:]) not in K)
+        K = close(generating_set(K) + [PauliClass(d, n, g[:n], g[n:])])
+        cand = cand[(cand[:, :n] @ g[n:] - cand[:, n:] @ g[:n]) % d == 0]
+    return K

@@ -640,8 +640,9 @@ def pauli_list(draw, d, wide=False):
     # site counts with d^n <= 16, so that dense algebras stay small.  `wide` draws
     # qubit groups on up to 64 sites; above 6 sites it takes at most min(13, 2n - 20)
     # generators, so a group has at most 2^13 elements and its annihilator at least
-    # 4^n / 2^(2n - 20) = 2^20 > 10^6, which is refused.  On at most 6 sites no
-    # group has more than 4^6 elements.
+    # 4^n / 2^(2n - 20) = 2^20 > 10^6, which is refused before the solve.  A maximal
+    # extension has 2^n elements: printed up to 19 sites, refused from 20 on.  On at
+    # most 6 sites no group has more than 4^6 elements.
     sites = {2: 4, 3: 2, 4: 2}[d]
     n = draw(st.integers(1, 6) | st.integers(12, 64) if wide and d == 2
              else st.integers(1, sites))
@@ -741,6 +742,9 @@ LARGE_N = [
     ("privacy certify --channel identity --n 20000 --algebra scalars", 3),
     ("group charmatrix --n 20000", 3),
     ("group close --d 3 --gens X1:I --n 100000000", 2),
+    ("group annihilator --n 20000", 3),
+    ("group extend --n 20000", 3),
+    ("group extend --d 3 --n 100000000", 3),
 ]
 
 

@@ -20,20 +20,16 @@ from paulipriv import (
     dense_paulis,
     diagonal_subgroup,
     encoded_subgroup,
-    full_matrix_algebra,
     is_quasiorthogonal,
     kraus_mutually_commuting,
     parse_pauli,
     private_algebra_for_abelian,
     private_algebra_for_max_abelian,
     quasiorth_condition_suite,
-    quasiorthogonal_to_diagonal,
-    scalar_algebra,
     span_closure,
     structure_type,
     subgroup_algebra,
     two_qutrit_demo,
-    diagonal_algebra,
 )
 from paulipriv import Channel
 from paulipriv.algebra import _verify_block_form
@@ -259,16 +255,6 @@ def test_pipeline_property_sweep(n):
         st, _ = structure_type(alg)
         assert st.blocks == ((2 ** (n - n // 2), 2 ** (n // 2)),)
         assert kraus_mutually_commuting(channel_from_subgroup(G))
-
-
-def test_quasiorthogonal_to_diagonal():
-    motivating = span_closure([dense(s) for s in ("II", "IX", "YY", "YZ")])
-    assert quasiorthogonal_to_diagonal(motivating)
-    assert not quasiorthogonal_to_diagonal(full_matrix_algebra(4))
-    assert quasiorthogonal_to_diagonal(scalar_algebra(4))
-    # the diagonal algebra itself: the abstract block condition holds but the
-    # fixed embedding is not quasiorthogonal; the direct verdict wins
-    assert not quasiorthogonal_to_diagonal(diagonal_algebra(4))
 
 
 def test_two_qutrit_demo_passes():

@@ -32,6 +32,7 @@ from paulipriv.groups import (
 from helpers import (
     brute_closure,
     dense_oracle,
+    enumerating_extension,
     random_abelian_subgroup,
     random_subgroup,
     transvect,
@@ -261,13 +262,17 @@ def test_extend_already_maximal_unchanged():
     assert extend_to_maximal(K) == K
 
 
-@pytest.mark.parametrize("n", [20, 64])
-def test_extend_of_a_maximal_group_enumerates_nothing(monkeypatch, n):
-    # Ann K of the diagonal group has 2^n elements, above the enumeration bound
-    K = diagonal_subgroup(2, n)
+@pytest.mark.parametrize("n,maximal", [(20, True), (64, True), (64, False)],
+                         ids=["diagonal-20", "diagonal-64", "Z1-64"])
+def test_extend_enumerates_nothing(monkeypatch, n, maximal):
+    # Ann K has 2^n elements for the diagonal group and 2^(2n - 1) for <Z_1>,
+    # both above the enumeration bound
+    K = diagonal_subgroup(2, n) if maximal else close([cls("Z" + "I" * (n - 1))])
     monkeypatch.setattr(PauliSubgroup, "rows",
                         property(lambda self: pytest.fail("a group was enumerated")))
-    assert extend_to_maximal(K) == K
+    M = extend_to_maximal(K)
+    assert M.order == 2**n and is_abelian(M) and K.issubset(M)
+    assert (M == K) if maximal else (cls("Z" + "I" * (n - 1)) in M)
 
 
 def test_extend_trivial_picks_lexicographic():
@@ -299,6 +304,41 @@ def test_extension_property_sweep(d, max_n):
             assert len(M) == d**n
             assert is_abelian(M)
             assert K.issubset(M)
+            assert _same_howell(M, enumerating_extension(K))
+
+
+def _same_howell(A, B):
+    return np.array_equal(A._gens, B._gens) and A._pivots == B._pivots
+
+
+def _random_abelian_rows(rng, d, n, count, scale=None):
+    """Rows of ``count`` Z's, scaled at random or by ``scale``, moved by random transvections."""
+    rows = np.zeros((count, 2 * n), dtype=np.int64)
+    rows[np.arange(count), n + np.arange(count)] = scale or rng.integers(1, d, count)
+    moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d)))
+             for _ in range(rng.integers(0, 6))]
+    return transvect(rows, moves, d)
+
+
+# every (d, n) with d in {2, 3, 4, 5, 6, 8, 9} and d^(2n) <= 65536
+EXTEND_GRID = [(d, n) for d in (2, 3, 4, 5, 6, 8, 9) for n in range(1, 9)
+               if d ** (2 * n) <= 65536]
+
+
+@pytest.mark.parametrize("d,n", EXTEND_GRID)
+def test_extend_matches_the_enumerating_rule(d, n):
+    # trivial, maximal, transvected diagonal-type and K meet Ann K for random K
+    rng = np.random.default_rng(1000 * d + n)
+    cases = [close((), d=d, n=n), PauliSubgroup._span(d, n, _random_abelian_rows(rng, d, n, n, 1))]
+    for _ in range(10):
+        count = int(rng.integers(1, n + 1))
+        cases.append(PauliSubgroup._span(d, n, _random_abelian_rows(rng, d, n, count)))
+        K = random_subgroup(rng, d, n)
+        cases.append(intersect(K, annihilator(K)))
+    for K in cases:
+        assert is_abelian(K)
+        assert _same_howell(extend_to_maximal(K), enumerating_extension(K))
+    assert cases[1].order == d**n
 
 
 def test_extend_rejects_nonabelian():
@@ -585,7 +625,6 @@ _BIG = annihilator(close((), d=2, n=10))  # all 4^10 classes
     lambda: list(_BIG),
     lambda: _BIG.elements,
     lambda: _BIG.xz_arrays(),
-    lambda: extend_to_maximal(close([cls("Z" + "I" * 10)])),  # |Ann <Z_1>| = 2^21
 ])
 def test_enumeration_above_the_element_bound_is_refused(enumerate_group):
     with pytest.raises(PreconditionError, match="above the bound 1000000"):
