@@ -3,10 +3,10 @@
 Subcommand groups: ``group`` (closure, commutativity, annihilators, maximal
 extension, character matrices), ``channel`` (group channels, conditional
 expectations, state evolution, Choi equality), ``privacy`` (quasiorthogonality
-and privatization certificates) and ``demo`` (the two worked constructions).
-Each command takes only the flags it reads and refuses any other; ``privacy
-certify`` takes one of --group, --channel and --in, and one of --algebra and
---construct.
+and privatization certificates) and ``demo`` (the phase-flip certificate and
+the two-qutrit construction).  Each command takes only the flags it reads and
+refuses any other; ``privacy certify`` takes one of --group, --channel and
+--in, and one of --algebra and --construct.
 
 Exit codes: 0 success, 1 a verified-false verdict, 2 input, parse or file
 error (including an unknown or conflicting flag), 3 precondition violation
@@ -48,9 +48,9 @@ from .groups import (_require_enumerable, annihilator, character_matrix, close,
 from .pauli import parse_pauli
 from .privacy import check_privatized_algebra, quasiorth_condition_suite
 
-def _default(fn, name: str = "tol"):
-    """The default of the parameter ``name`` of ``fn``, which the flag of that name feeds."""
-    return inspect.signature(fn).parameters[name].default
+def _default(fn):
+    """The default of the parameter ``tol`` of ``fn``, which the flag --tol feeds."""
+    return inspect.signature(fn).parameters["tol"].default
 
 
 def _check_n(d: int, n: int | None, N: int, what: str) -> None:
@@ -109,9 +109,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         out = "\n".join(text_lines) + "\n"
     else:
         envelope = {"command": args.command_path, "result": payload}
-        for flag, key in (("seed", "seed"), ("tol", "tolerance")):
-            if flag in args:  # only the commands that read the flag echo it
-                envelope[key] = getattr(args, flag)
+        if "tol" in args:  # only the commands that read --tol echo it
+            envelope["tolerance"] = args.tol
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
         out = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
@@ -129,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         actions[topic] = topics.add_parser(topic, help=text).add_subparsers(
             dest="action", required=True)
 
-    def command(path, handler, *, dn=False, tol=None, seed=None, out=False):
-        """One subcommand with the common flags its handler reads; tol and seed are defaults."""
+    def command(path, handler, *, dn=False, tol=None, out=False):
+        """One subcommand with the common flags its handler reads; tol is the default."""
         topic, action = path.split()
         p = actions[topic].add_parser(action, allow_abbrev=False)  # --n never means --no-timestamp
         p.set_defaults(handler=handler, command_path=path)
@@ -140,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol,
                            help=f"decision tolerance (default {tol:g})")
-        if seed is not None:
-            p.add_argument("--seed", type=int, default=seed,
-                           help=f"seed of the random states (default {seed})")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--no-timestamp", action="store_true")
         if out:
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     subject.add_argument("--construct", action="store_true",
                          help="construct the private algebra from the subgroup")
 
-    command("demo phaseflip", _cmd_phaseflip, seed=_default(phase_flip_demo, "seed"))
+    command("demo phaseflip", _cmd_phaseflip)
     p = command("demo qutrit", _cmd_qutrit)
     p.add_argument("--perturb", action="store_true",
                    help="negative control: corrupt one expected phase")
@@ -354,17 +350,16 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_phaseflip(args) -> int:
-    worst = phase_flip_demo(seed=args.seed)
-    ok = worst < 1e-8
-    lines = [
+    cert = phase_flip_demo()
+    mixed = bool(np.abs(cert.rho0 - np.eye(4) / 4).max() <= cert.tolerance)
+    ok = cert.verdict and mixed
+    _emit(args, {"max_deviation": cert.max_deviation, "passed": ok}, [
         "two-qubit phase-flip channel, Kraus = half of each diagonal Pauli",
         "privatized algebra spanned by II, IX, YY, YZ",
-        f"tested 100 random encoded density operators (seed {args.seed})",
-        f"Phi(rho) = I/4 for all tested rho; max deviation "
-        f"{worst:.3e} < 1e-08" if ok else
-        f"FAILED: max deviation {worst:.3e} >= 1e-08",
-    ]
-    _emit(args, {"max_deviation": worst, "passed": ok}, lines)
+        f"verdict: {cert.verdict}",
+        f"max deviation: {cert.max_deviation:.3e} (tolerance {cert.tolerance:.1e})",
+        f"rho0 = I/4: {mixed}",
+    ])
     return 0 if ok else 1
 
 
@@ -397,10 +392,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        low = {"d": 2, "n": 1, "seed": 0}  # checked for the flags the command has
+        low = {"d": 2, "n": 1}  # checked for the flags the command has
         given = {k: v for k in low if (v := getattr(args, k, None)) is not None}
         if any(v < low[k] for k, v in given.items()):
-            raise PreconditionError("need --d >= 2, --n >= 1 and --seed >= 0, got "
+            raise PreconditionError("need --d >= 2 and --n >= 1, got "
                                     + ", ".join(f"{k}={v}" for k, v in given.items()))
         tol = getattr(args, "tol", None)
         if tol is not None and not 0 <= tol < np.inf:  # also refuses NaN

@@ -42,12 +42,11 @@ from .algebra import (
     StructureType,
     _require_dense,
     _verify_block_form,
-    apply_channel,
     structure_type,
 )
 from .errors import NumericalAmbiguityError, PreconditionError
 from .groups import PauliSubgroup, _encoded_pairs, close
-from .pauli import PauliClass, PauliElement, dense_paulis, omega_power
+from .pauli import PauliClass, PauliElement, dense_paulis, omega_power, parse_pauli
 from .privacy import (
     PrivacyCertificate,
     check_privatized_algebra,
@@ -324,30 +323,13 @@ def two_qutrit_demo(perturb: bool = False) -> TwoQutritReport:
     return TwoQutritReport(checks=tuple(checks), block_scale=scale)
 
 
-def phase_flip_demo(seed: int = 2016) -> float:
-    """Sweep random encoded states through the two-qubit phase-flip channel.
+def phase_flip_demo() -> PrivacyCertificate:
+    """Certify that the two-qubit phase-flip channel hides a qubit.
 
-    Returns the worst deviation of the outputs from the fixed state I/4, over
-    100 random positive unit-trace inputs in the span of the privatized
-    algebra.
+    The channel averages the four diagonal Pauli words, so it is the group
+    channel of <ZI, IZ>; it privatizes the span of <IX, YY> = {II, IX, YY, YZ},
+    one qubit with multiplicity two.  Returns the exact dense certificate of
+    :func:`~paulipriv.privacy.check_privatized_algebra`, whose rho0 is I/4.
     """
-    group = close(
-        [PauliClass(2, 2, (0, 0), (1, 0)), PauliClass(2, 2, (0, 0), (0, 1))]
-    )
-    phi = channel_from_subgroup(group)
-    basis = {
-        "IX": PauliElement(2, 2, 0, (0, 1), (0, 0)).to_dense(),
-        "YY": PauliElement(2, 2, 2, (1, 1), (1, 1)).to_dense(),
-        "YZ": PauliElement(2, 2, 1, (1, 0), (1, 1)).to_dense(),
-    }
-    eye4 = np.eye(4, dtype=complex)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        c = rng.standard_normal(3)
-        c *= rng.random() ** (1 / 3) / np.linalg.norm(c)  # uniform in the unit ball
-        rho = (eye4 + c[0] * basis["IX"] + c[1] * basis["YY"] + c[2] * basis["YZ"]) / 4
-        if np.linalg.eigvalsh(rho).min() < -1e-12:
-            raise PreconditionError("sampled state is not positive semidefinite")
-        worst = max(worst, float(np.abs(apply_channel(phi, rho) - eye4 / 4).max()))
-    return worst
+    K, H = (close([parse_pauli(w) for w in words]) for words in (("ZI", "IZ"), ("IX", "YY")))
+    return check_privatized_algebra(channel_from_subgroup(K), subgroup_algebra(H))

@@ -65,15 +65,21 @@ def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
         i = int(np.argmin(np.gcd(a[:, c], d)))
         p, a = a[i], np.concatenate((a[:i], a[i + 1 :]))
         while True:
-            # scale the pivot by the smallest unit that makes it divide d
+            # scale the pivot by the smallest unit u with u p_c = g (mod d): the units
+            # solving it are the lifts of (p_c/g)^-1 mod d/g that are coprime to d
             g = math.gcd(int(p[c]), d)
-            if p[c] != g:  # a unit pivot has one such unit, its inverse
-                units = (u for u in range(1, d) if math.gcd(u, d) == 1 and u * p[c] % d == g)
-                p = p * (pow(int(p[c]), -1, d) if g == 1 else next(units)) % d
+            if p[c] != g:
+                m = d // g
+                p = p * next(u for u in range(pow(int(p[c]) // g, -1, m), d, m)
+                             if math.gcd(u, d) == 1) % d
             bad = np.flatnonzero(a[:, c] % g) if g > 1 else ()
             if not len(bad):
                 break
-            # Z_d has stable rank 1: some p_c + t r_c generates the ideal (p_c, r_c)
+            # Z_d has stable rank 1: some p_c + t r_c generates the ideal (p_c, r_c).
+            # With h = gcd(p_c, r_c) the search stops at the first t with
+            # gcd(p_c/h + t r_c/h, d/h) = 1.  Each prime of d/h rules out at most one
+            # residue of t, so its length is bounded by the gaps between integers
+            # coprime to d/h (a few steps), not by d.
             r = a[bad[0]]
             h = math.gcd(g, int(r[c]))
             t = next(t for t in range(d) if math.gcd(g + t * int(r[c]), d) == h)

@@ -7,6 +7,7 @@ tuples, and commutation phases are read off dense products.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -245,3 +246,36 @@ def enumerating_extension(K):
         K = close(generating_set(K) + [PauliClass(d, n, g[:n], g[n:])])
         cand = cand[(cand[:, :n] @ g[n:] - cand[:, n:] @ g[:n]) % d == 0]
     return K
+
+
+def scanning_howell(rows, d: int):
+    """Howell form and pivots over Z_d, normalizing each pivot by scanning Z_d.
+
+    Each pivot p_c is scaled by the first u in 1..d-1 that is a unit with
+    u p_c = gcd(p_c, d) (mod d); otherwise the elimination is that of
+    ``groups._howell``, so the two must give the same rows and pivots.
+    """
+    a = np.asarray(rows, dtype=np.int64) % d
+    out, pivots = [], []
+    for c in range(a.shape[1]):
+        if not a[:, c].any():
+            continue
+        i = int(np.argmin(np.gcd(a[:, c], d)))
+        p, a = a[i], np.concatenate((a[:i], a[i + 1 :]))
+        while True:
+            g = math.gcd(int(p[c]), d)
+            u = next(u for u in range(1, d) if math.gcd(u, d) == 1 and u * p[c] % d == g)
+            p = p * u % d
+            bad = np.flatnonzero(a[:, c] % g)
+            if not len(bad):
+                break
+            r = a[bad[0]]
+            h = math.gcd(g, int(r[c]))
+            t = next(t for t in range(d) if math.gcd(g + t * int(r[c]), d) == h)
+            p = (p + t * r) % d
+        a = (a - (a[:, c] // g)[:, None] * p) % d
+        a = np.vstack([a, d // g * p % d])
+        a = a[a.any(axis=1)]
+        out.append(p)
+        pivots.append(c)
+    return np.array(out, dtype=np.int64).reshape(len(out), a.shape[1]), tuple(pivots)

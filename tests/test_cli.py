@@ -51,7 +51,7 @@ OPTIONS = {
     "privacy quasiorth": COMMON | {"--d", "--n", "--tol", "--a", "--b"},
     "privacy certify": COMMON | {"--d", "--n", "--tol", "--out", "--group", "--channel",
                                  "--in", "--algebra", "--construct"},
-    "demo phaseflip": COMMON | {"--seed"},
+    "demo phaseflip": COMMON,
     "demo qutrit": COMMON | {"--perturb"},
 }
 
@@ -141,6 +141,8 @@ def test_every_command_with_out_writes_it(capsys, files, tmp_path, command):
     # --construct reads its channel from --group only
     (["privacy", "certify", "--construct", "--in", "{chan}"], "--in"),
     (["privacy", "certify", "--construct", "--channel", "identity", "--n", "2"], "--channel"),
+    # no command takes --seed: demo phaseflip prints an exact certificate
+    (["demo", "phaseflip", "--seed", "7"], "--seed"),
 ])
 def test_conflicting_or_unread_flag_exit_2(capsys, files, argv, flag):
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
@@ -428,6 +430,13 @@ def test_demo_phaseflip_transcript(capsys):
     assert "I/4" in out and "max deviation" in out
 
 
+def test_demo_phaseflip_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "demo", "phaseflip")
+    envelope = {"command": "demo phaseflip", "result": {"max_deviation": 0.0, "passed": True}}
+    assert code == 0
+    assert out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
 def test_demo_qutrit(capsys):
     code, out, _ = run(capsys, "demo", "qutrit")
     assert code == 0
@@ -450,15 +459,13 @@ def test_json_determinism(capsys):
 
 
 def test_seed_and_tolerance_echoed(capsys, files):
-    # each key is echoed by the commands that read its flag, and only by them
+    # tolerance is echoed by the commands that read --tol, and only by them; no seed is
     for command in OPTIONS:
         code, out, _ = run(capsys, *command_argv(command, files))
         assert code in (0, 1), command
         doc = json.loads(out)
-        assert ("seed" in doc) == ("--seed" in OPTIONS[command]), command
+        assert "seed" not in doc, command
         assert ("tolerance" in doc) == ("--tol" in OPTIONS[command]), command
-    _, out, _ = run(capsys, "demo", "phaseflip", "--seed", "7")
-    assert json.loads(out)["seed"] == 7
     _, out, _ = run(capsys, *command_argv("channel choi-equal", files), "--tol", "1e-6")
     assert json.loads(out)["tolerance"] == 1e-6
     _, out, _ = run(capsys, "privacy", "certify", "--group", "ZI,IZ", "--algebra", "delta4",
@@ -511,12 +518,11 @@ def test_undecodable_json_exit_2(capsys, tmp_path):
     ["privacy", "certify", "--channel", "identity", "--n", "-1", "--algebra", "scalars"],
     ["group", "close", "--gens", "", "--n", "0"],
     ["privacy", "quasiorth", "--a", "delta2", "--b", "delta2", "--d", "1"],
-    ["demo", "phaseflip", "--seed", "-1"],
 ])
 def test_bad_d_n_or_seed_exit_3(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
-    assert "need --d >= 2, --n >= 1 and --seed >= 0" in err
+    assert "need --d >= 2 and --n >= 1" in err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -657,27 +663,25 @@ def pauli_list(draw, d, wide=False):
     return ",".join(tokens)
 
 
-# the value given to a flag that the drawn command does not take
-LACKED_VALUE = {"--d": "2", "--n": "1", "--seed": "2016", "--tol": "1e-8", "--out": "x.json"}
+# the value given to a flag that the drawn command does not take; privacy certify takes
+# all four common flags, so --gens stands in for the --seed that no command takes now
+LACKED_VALUE = {"--d": "2", "--n": "1", "--tol": "1e-8", "--out": "x.json", "--gens": "ZI"}
 
 
 @st.composite
 def fuzz_argv(draw, root):
     """(argv, lacked): argv for one command with the flags it takes, and in at
     most one draw in six one more flag it does not take, named by ``lacked``."""
-    # d and n in -2..4, the seed 2016 or negative; at most one of the three invalid
+    # d and n in -2..4; at most one of the two invalid
     d = draw(st.integers(2, 4))
     n = draw(st.none() | st.integers(1, 4))
     if n is not None and d**n > 16:
         n = 1  # keep dense algebras small
-    seed = 2016
-    bad = draw(st.sampled_from([None, None, None, "d", "n", "seed"]))
+    bad = draw(st.sampled_from([None, None, None, "d", "n"]))
     if bad == "d":
         d = draw(st.integers(-2, 1))
     elif bad == "n":
         n = draw(st.integers(-2, 0))
-    elif bad == "seed":
-        seed = draw(st.integers(-2, -1))
     files = [str(root / name)
              for name in [*FUZZ_JSON, "garbage.json", "binary.json", "subdir.json"]]
     files.append(str(root / "missing.json"))
@@ -719,7 +723,7 @@ def fuzz_argv(draw, root):
     else:
         argv = ["demo", draw(st.sampled_from(["phaseflip", "qutrit"]))]
     takes = OPTIONS[" ".join(argv[:2])]
-    for flag, value in (("--d", d), ("--seed", seed), ("--n", n)):
+    for flag, value in (("--d", d), ("--n", n)):
         if flag in takes and value is not None:
             argv += [flag, str(value)]
     if "--out" in takes and draw(st.booleans()):
@@ -759,6 +763,25 @@ def test_large_n_is_refused_at_once(capsys, argv, expected):
     assert time.perf_counter() - start < 3.0
     assert code == expected and "Traceback" not in err
     assert ("disagrees with N = 9" if expected == 2 else "precondition violated") in err
+
+
+# a huge composite d: each Howell pivot's unit is solved for, not found by scanning Z_d
+HUGE_D = [
+    ("group abelian --d 1000000000 --gens X6", 0),
+    ("group abelian --d 1000000000 --gens X2,X5", 0),
+    ("group close --d 1000000000 --gens X6", 3),
+    ("group annihilator --d 1000000000 --gens X6", 3),
+    ("privacy certify --d 1000000000 --group X6 --construct", 3),
+    ("channel from-group --d 1000000000 --gens X6", 3),
+]
+
+
+@pytest.mark.parametrize("argv,expected", HUGE_D)
+def test_huge_composite_d_answers_at_once(capsys, argv, expected):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 3.0
+    assert code == expected and "Traceback" not in err
 
 
 def test_fuzz_main_exits_0_to_3_without_raising(fuzz_dir):

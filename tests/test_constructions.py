@@ -33,7 +33,7 @@ from paulipriv import (
 )
 from paulipriv import Channel
 from paulipriv.algebra import _verify_block_form
-from paulipriv.constructions import _frame_decomposition
+from paulipriv.constructions import _frame_decomposition, phase_flip_demo
 from paulipriv.cli import _algebra_from_arg
 from paulipriv.groups import generating_set
 from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
@@ -112,6 +112,14 @@ def test_encoded_algebra_has_no_diagonal_elements(n):
             continue  # the identity direction
         off = traceless - np.diag(np.diag(traceless))
         assert np.abs(off).max() > 1e-8
+
+
+def test_phase_flip_demo_is_an_exact_certificate(monkeypatch):
+    # it decides the claim on a basis of the algebra and draws no random numbers
+    monkeypatch.setattr(np.random, "default_rng", None)
+    cert = phase_flip_demo()
+    assert cert.verdict and cert.per_basis == (0.0,) * 4
+    assert np.abs(cert.rho0 - np.eye(4) / 4).max() < 1e-15
 
 
 def test_channel_from_phase_flip_group():

@@ -35,6 +35,7 @@ from helpers import (
     enumerating_extension,
     random_abelian_subgroup,
     random_subgroup,
+    scanning_howell,
     transvect,
 )
 
@@ -499,6 +500,22 @@ def test_property_howell_form(case):
     for c in range(width + 1):
         tail = [r for r, p in zip(h, pivots) if p >= c]
         assert {v for v in span if not any(v[:c])} == _span(tail, d, width)
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_howell_matches_the_scanning_oracle(d):
+    # rows scaled by divisors of d, so that composite d meets non-unit pivots
+    rng = np.random.default_rng(d)
+    divisors = [k for k in range(1, d) if d % k == 0]
+    non_unit = 0
+    for _ in range(60):
+        count, width = rng.integers(1, 6), rng.integers(1, 7)
+        rows = rng.integers(0, d, (count, width)) * rng.choice(divisors, (count, 1)) % d
+        h, pivots = _howell(rows, d)
+        expected, expected_pivots = scanning_howell(rows, d)
+        assert np.array_equal(h, expected) and pivots == expected_pivots
+        non_unit += any(r[c] > 1 for r, c in zip(h, pivots))
+    assert non_unit or len(divisors) == 1  # only a prime d has no non-unit pivot
 
 
 # ---------------------------------------------------------------------------
