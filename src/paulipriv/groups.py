@@ -3,13 +3,13 @@
 The quotient of the n-site Pauli group by its phase center is the additive
 group Z_d^{2n} in (x, z) coordinates, so subgroups, annihilators and maximal
 Abelian extensions are integer linear algebra over Z_d.  One code path serves
-every d >= 2, prime or composite: a subgroup is held as the Howell form of its
-generator rows, which give its exact order.  Its elements are enumerated from
-those rows only on demand, never found by scanning P_n, and enumeration alone
-is bounded (10^6 elements).  No operation here lists elements: groups of any
-order are built, compared, intersected and extended to maximal Abelian ones
-by Howell forms alone.  Dense matrices appear only in tests and in downstream
-modules.
+every d >= 2 with 2n (d - 1)^2 < 2^63, prime or composite, so that its int64
+sums stay exact: a subgroup is the Howell form of its generator rows, which give
+its exact order.  Its elements are enumerated only on demand, never found by
+scanning P_n, and enumeration alone is bounded (10^6 elements).  No operation
+here lists elements: groups of any order are built, compared, intersected and
+extended to maximal Abelian ones by Howell forms alone, each kernel system below
+2^22 entries.  Dense matrices appear only in tests and in downstream modules.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
 
 _MAX_ELEMENTS = 10**6  # elements enumerated per group
 _MAX_CHARACTER_SIDE = 10**4
+_MAX_KERNEL_ENTRIES = 2**22  # of [a^T | I] in a kernel solve (32 MiB); n = 512 needs 2^21
 
 
 def all_classes(d: int, n: int) -> list[PauliClass]:
@@ -55,54 +56,69 @@ def _howell(rows, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     The rows are in echelon form, each pivot entry divides d, and every element
     of the span that vanishes before a pivot column lies in the span of the
     rows from that pivot on.  So each element of the span is sum_i l_i h_i for
-    exactly one choice of 0 <= l_i < d / h_i[pivot_i].
+    exactly one choice of 0 <= l_i < d / h_i[pivot_i].  Pivots are chosen on Python
+    ints, and each costs one vectorized update of the rows left.
     """
     a = np.asarray(rows, dtype=np.int64) % d
     out, pivots = [], []
-    for c in range(a.shape[1]):  # zero rows never pivot; each pivot step drops them
-        if not a[:, c].any():
+    for c in range(a.shape[1]):  # zero rows never pivot and are never bad, so they stay
+        col = a[:, c].tolist()
+        if not any(col):
             continue
-        i = int(np.argmin(np.gcd(a[:, c], d)))
-        p, a = a[i], np.concatenate((a[:i], a[i + 1 :]))
+        gcds = [math.gcd(v, d) for v in col]
+        i = gcds.index(min(gcds))
+        p, a = a[i].copy(), np.concatenate((a[:i], a[i + 1 :]))  # a view keeps old a alive
+        del col[i]
         while True:
             # scale the pivot by the smallest unit u with u p_c = g (mod d): the units
             # solving it are the lifts of (p_c/g)^-1 mod d/g that are coprime to d
-            g = math.gcd(int(p[c]), d)
-            if p[c] != g:
+            g = math.gcd(pc := int(p[c]), d)
+            if pc != g:
                 m = d // g
-                p = p * next(u for u in range(pow(int(p[c]) // g, -1, m), d, m)
+                p = p * next(u for u in range(pow(pc // g, -1, m), d, m)
                              if math.gcd(u, d) == 1) % d
-            bad = np.flatnonzero(a[:, c] % g) if g > 1 else ()
-            if not len(bad):
+            bad = [k for k, v in enumerate(col) if v % g] if g > 1 else ()
+            if not bad:
                 break
             # Z_d has stable rank 1: some p_c + t r_c generates the ideal (p_c, r_c).
             # With h = gcd(p_c, r_c) the search stops at the first t with
             # gcd(p_c/h + t r_c/h, d/h) = 1.  Each prime of d/h rules out at most one
             # residue of t, so its length is bounded by the gaps between integers
             # coprime to d/h (a few steps), not by d.
-            r = a[bad[0]]
-            h = math.gcd(g, int(r[c]))
-            t = next(t for t in range(d) if math.gcd(g + t * int(r[c]), d) == h)
+            r, rc = a[bad[0]], col[bad[0]]
+            h = math.gcd(g, rc)
+            t = next(t for t in range(d) if math.gcd(g + t * rc, d) == h)
             p = (p + t * r) % d
-        a = (a - (a[:, c] // g)[:, None] * p) % d
+        if any(col):  # a is a fresh copy (concatenate copied it), updated in place
+            a -= np.multiply.outer(a[:, c] // g if g > 1 else a[:, c], p)
+            a -= a // d * d  # a %= d: numpy's division by a scalar beats its remainder
         a = np.vstack([a, d // g * p % d]) if g > 1 else a  # that row is 0 for g = 1
-        a = a[a.any(axis=1)]
         out.append(p)
         pivots.append(c)
     return np.array(out, dtype=np.int64).reshape(len(out), a.shape[1]), tuple(pivots)
 
 
-def _kernel(a, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Howell form of {v : a v = 0 (mod d)}, for any d.
-
-    Row-reducing [a^T | I] over Z_d, the transpose of column-reducing
-    [a | d I] over Z, leaves the solutions as the rows that vanish on the a^T
-    block; by the Howell property those rows span all of them.
-    """
-    r, m = a.shape
-    h, pivots = _howell(np.hstack([a.T, np.eye(m, dtype=np.int64)]), d)
+def _vanishing(rows, r: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Howell rows, first r columns dropped, of the span's elements that vanish on them."""
+    h, pivots = _howell(rows, d)
     keep = [i for i, c in enumerate(pivots) if c >= r]
     return h[keep, r:], tuple(pivots[i] - r for i in keep)
+
+
+def _kernel(a, d: int, within=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Howell form of {v in span within : a v = 0 (mod d)}, v any vector by default.
+
+    Row-reducing [W a^T | W] over Z_d, W the rows within or I (the transpose of
+    column-reducing [a | d I] over Z), leaves the solutions as the rows that
+    vanish on the first block; by the Howell property those rows span them all.
+    """
+    r, m = a.shape
+    if m * (r + m) > _MAX_KERNEL_ENTRIES:
+        raise PreconditionError(f"a kernel system of {m} x {r + m} entries is above the bound "
+                                f"{_MAX_KERNEL_ENTRIES}")
+    if within is None:
+        return _vanishing(np.hstack([a.T, np.eye(m, dtype=np.int64)]), r, d)
+    return _vanishing(np.hstack([within @ a.T, within]), r, d)
 
 
 def _residue(rows, K: PauliSubgroup) -> np.ndarray:
@@ -223,6 +239,9 @@ def close(generators=(), *, d: int | None = None, n: int | None = None) -> Pauli
         raise PreconditionError("close() with no generators needs explicit d and n")
     else:
         PauliClass.identity(d, n)  # raises unless d >= 2 and n >= 1
+    if 2 * n * (d - 1) ** 2 >= 2**63:  # chi and partner rows sum 2n such int64 products
+        raise PreconditionError(f"d = {d} on n = {n} sites overflows 64-bit arithmetic: "
+                                "need 2 n (d - 1)^2 < 2^63")
     return PauliSubgroup._span(d, n, _class_rows(gens, n))
 
 
@@ -249,11 +268,8 @@ def intersect(A: PauliSubgroup, B: PauliSubgroup) -> PauliSubgroup:
         raise PreconditionError(
             f"subgroups live on different spaces: d={A.d},n={A.n} vs d={B.d},n={B.n}"
         )
-    w = 2 * A.n
-    h, pivots = _howell(np.vstack([np.hstack([A._gens, A._gens]),
-                                   np.hstack([B._gens, np.zeros_like(B._gens)])]), A.d)
-    keep = [i for i, c in enumerate(pivots) if c >= w]
-    return PauliSubgroup._from_howell(A.d, A.n, h[keep, w:], tuple(pivots[i] - w for i in keep))
+    rows = np.vstack([np.hstack([A._gens, A._gens]), np.hstack([B._gens, np.zeros_like(B._gens)])])
+    return PauliSubgroup._from_howell(A.d, A.n, *_vanishing(rows, 2 * A.n, A.d))
 
 
 def is_abelian(K: PauliSubgroup) -> bool:
@@ -312,10 +328,10 @@ def annihilator(K: PauliSubgroup) -> PauliSubgroup:
     return PauliSubgroup._from_howell(K.d, K.n, *_commuting(K._gens, K.d))
 
 
-def _commuting(rows: np.ndarray, d: int, order=slice(None)) -> tuple[np.ndarray, tuple]:
-    """Howell form of the classes v[order] with chi(r, v) = 1 for every (x | z) row r."""
+def _commuting(rows: np.ndarray, d: int, order=slice(None), within=None) -> tuple:
+    """Howell form of the v[order] in span within (or all) with chi(r, v) = 1 for rows r."""
     n = rows.shape[1] // 2
-    return _kernel(np.hstack([-rows[:, n:], rows[:, :n]])[:, order], d)
+    return _kernel(np.hstack([-rows[:, n:], rows[:, :n]])[:, order], d, within)
 
 
 def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
@@ -375,23 +391,24 @@ def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:
     """Deterministically grow an Abelian subgroup to one of size d^n, any d >= 2.
 
-    Each round adjoins the canonically smallest class of Ann K \\ K, K being the
+    Each round adjoins the canonically smallest class g of Ann K \\ K, K being the
     group grown so far; the result is Abelian of size exactly d^n and contains
-    the input.  A round is one kernel solve, with the variables ordered by their
-    significance in the canonical class order (z_n, x_n, ..., z_1, x_1), so the
-    Howell rows of Ann K from row j on span exactly its elements that vanish
-    before pivot j.  With j the last row outside K, the rows after j lie in K,
-    and the smallest class outside K is row j reduced by them.  Nothing is
-    enumerated, so no element bound applies.
+    the input.  Ann K is solved for once, with the variables ordered by their
+    significance in the canonical class order (z_n, x_n, ..., z_1, x_1), so its Howell
+    rows from row j on span exactly its elements that vanish before pivot j.  A row
+    lies in K = Ann Ann K iff it commutes with every row; with j the last that does
+    not, g is row j reduced by the rows after it.  Each round then adds the constraint
+    chi(g, v) = 1 to Ann K: one Howell form of at most 2n + 1 rows, O(n^3) per round.
     """
     if not is_abelian(K):
         raise PreconditionError("extend_to_maximal requires an Abelian subgroup")
     d, n = K.d, K.n
     order = np.arange(2 * n).reshape(2, n)[::-1, ::-1].T.reshape(-1)  # z_n, x_n, ..., x_1
     back = np.argsort(order)
+    h = None
     while K.order < d**n:  # |K| |Ann K| = d^(2n), so Ann K is larger than K
-        h, pivots = _commuting(K._gens, d, order)
-        j = np.flatnonzero(_residue(h[:, back], K).any(axis=1))[-1]
+        h, pivots = _commuting(K._gens if h is None else g[None], d, order, h)
+        j = np.flatnonzero(_chi_rows(h[:, back], h[:, back], d).any(axis=1))[-1]
         after = PauliSubgroup._from_howell(d, n, h[j + 1 :], pivots[j + 1 :])
         g = _residue(h[j : j + 1], after)[0, back]
         K = PauliSubgroup._span(d, n, np.vstack([K._gens, g]))

@@ -773,6 +773,8 @@ HUGE_D = [
     ("group annihilator --d 1000000000 --gens X6", 3),
     ("privacy certify --d 1000000000 --group X6 --construct", 3),
     ("channel from-group --d 1000000000 --gens X6", 3),
+    # 2n (d - 1)^2 >= 2^63: int64 chi sums would wrap, so any d this large is refused
+    ("group abelian --d 4000000000 --gens X3Z3999999999,X1Z1333333333", 3),
 ]
 
 

@@ -1,6 +1,7 @@
 """Subgroup machinery: closures, character matrices, annihilators, extensions."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,8 @@ from paulipriv import (
 )
 from paulipriv.groups import (
     PauliSubgroup,
+    _chi_rows,
+    _commuting,
     _howell,
     _kernel,
     generating_set,
@@ -342,6 +345,36 @@ def test_extend_matches_the_enumerating_rule(d, n):
     assert cases[1].order == d**n
 
 
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 8, 9))
+def test_one_constraint_update_is_the_next_annihilator(d):
+    # Ann <K, g> from the Howell rows of Ann K and the one constraint chi(g, v) = 0, in
+    # the identity column order and in extend_to_maximal's (z_n, x_n, ..., z_1, x_1)
+    rng = np.random.default_rng(d)
+    divisors = [k for k in range(1, d) if d % k == 0]
+    non_unit = 0
+    for n in (1, 2, 3, 4):
+        canonical = np.arange(2 * n).reshape(2, n)[::-1, ::-1].T.reshape(-1)
+        for order in (np.arange(2 * n), canonical):
+            back = np.argsort(order)
+            for _ in range(6):
+                count = int(rng.integers(1, n + 1))
+                K = PauliSubgroup._span(d, n, _random_abelian_rows(rng, d, n, count))
+                h, _ = _commuting(K._gens, d, order)
+                # g in Ann K, scaled by a divisor of d so that its chi values are non-units
+                g = rng.integers(0, d, len(h)) @ h[:, back] * rng.choice(divisors) % d
+                chi = _chi_rows(h[:, back], g[None], d).ravel().tolist()
+                non_unit += any(math.gcd(v, d) not in (1, d) for v in chi)
+                rows, pivots = _commuting(g[None], d, order, h)
+                expected = _commuting(np.vstack([K._gens, g]), d, order)
+                assert PauliSubgroup._from_howell(d, n, rows, pivots) == \
+                    PauliSubgroup._from_howell(d, n, *expected)
+                if d ** (2 * n) <= 4096:  # the rows from pivot j on span what vanishes before it
+                    span = _span(rows, d, 2 * n)
+                    for j, c in enumerate(pivots):
+                        assert _span(rows[j:], d, 2 * n) == {v for v in span if not any(v[:c])}
+    assert non_unit or len(divisors) == 1  # only a prime d has no non-unit chi value
+
+
 def test_extend_rejects_nonabelian():
     with pytest.raises(PreconditionError):
         extend_to_maximal(close([cls("XI"), cls("ZI")]))
@@ -632,6 +665,29 @@ def test_groups_of_order_2_to_the_64_enumerate_nothing():
         tracemalloc.stop()
     assert K.order == D.order == ann.order == H.order == 2**64
     assert peak < 64 * 2**20
+
+
+def test_close_refuses_a_d_whose_int64_products_overflow():
+    # chi sums 2n products of size up to (d - 1)^2, so 2n (d - 1)^2 must stay below 2^63
+    d = 4 * 10**9
+    with pytest.raises(PreconditionError, match="overflows 64-bit"):
+        close([PauliClass(d, 1, (3,), (d - 1,)), PauliClass(d, 1, (1,), (1333333333,))])
+    with pytest.raises(PreconditionError, match="overflows 64-bit"):
+        close((), d=2**31 + 1, n=1)
+    # the largest d accepted on one site is exact: X^3 Z^-1 and its 3^-1-th power
+    d = 2**31
+    K = close([PauliClass(d, 1, (3,), (d - 1,)),
+               PauliClass(d, 1, (1,), ((d - 1) * pow(3, -1, d) % d,))])
+    assert is_abelian(K) and K.order == d
+
+
+def test_kernel_refuses_a_system_above_its_bound_before_building_it():
+    # [a^T | I] at n = 20000 would hold 1.6e9 entries (11.9 GiB)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="kernel system"):
+        annihilator(close((), d=2, n=20000))
+    assert time.perf_counter() - start < 1.0
+    assert annihilator(close((), d=2, n=512)).order == 4**512
 
 
 _BIG = annihilator(close((), d=2, n=10))  # all 4^10 classes
