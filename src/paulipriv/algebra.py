@@ -15,7 +15,8 @@ U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the conditional expectation read it.
 The span of a Pauli subgroup (:func:`~paulipriv.constructions.subgroup_algebra`,
 the one way in) keeps its subgroup; its basis is built on first read, where
 the same bound refuses it, and integer quasiorthogonality works at any n.  The
-pipeline's algebra is built from its encoded frame, with no generic element.
+block structure of a span with a symplectic basis, the pipeline's included, is
+built from that frame, with no generic element.
 
 Rank, cluster and coupling decisions are never silent: singular values,
 eigenvalue gaps or coupling norms inside a factor-of-ten window around the
@@ -162,9 +163,7 @@ class OperatorAlgebra:
         )
 
 
-def _append_independent(
-    stack: np.ndarray | None, cands: np.ndarray, rtol: float = _RTOL_RANK
-) -> np.ndarray:
+def _append_independent(stack: np.ndarray | None, cands: np.ndarray) -> np.ndarray:
     """Extend an orthonormal row stack by the independent part of ``cands``."""
     pieces = [] if stack is None else [stack]
     for lo in range(0, len(cands), 2048):
@@ -180,10 +179,10 @@ def _append_independent(
         # every singular value is at most the Frobenius norm, so a block below
         # the window adds nothing and is kept away from the SVD, which may fail
         # to converge on pure roundoff
-        if np.linalg.norm(c) < rtol / _AMBIGUITY_FACTOR:
+        if np.linalg.norm(c) < _RTOL_RANK / _AMBIGUITY_FACTOR:
             continue
         _, s, vh = np.linalg.svd(c, full_matrices=False)
-        tau = rtol * max(1.0, s[0] if len(s) else 0.0)
+        tau = _RTOL_RANK * max(1.0, s[0] if len(s) else 0.0)
         inside = (s > tau / _AMBIGUITY_FACTOR) & (s < tau * _AMBIGUITY_FACTOR)
         if inside.any():
             raise NumericalAmbiguityError(
@@ -377,12 +376,14 @@ def structure_type(A: OperatorAlgebra) -> tuple[StructureType, np.ndarray]:
     otherwise another draw is taken, up to 16.  The seed is fixed, so U
     depends only on A; it is computed once, kept with A and read-only.
 
-    The pipeline's private algebra span H keeps the encoded pairs
-    (a_i, b_i) that generate H, and its U is built from that frame instead:
-    U^dag maps the joint eigenvalue-1 eigenspace of the a_i across by powers
-    of the b_i.  Unitarity, the block form of the 2m generators and
-    |H| = q^2 prove the same decomposition, and no basis is read, so it runs
-    where the basis is above the dense bound (n = 9 qubits and beyond).
+    The span of a Pauli subgroup H with a trivial centre takes another route
+    when symplectic Gram-Schmidt reads pairs (a_i, b_i) with
+    chi(a_i, b_j) = omega^delta_ij off the Howell rows of H (for a prime
+    power d it always does): U^dag maps the joint eigenvalue-1 eigenspace of
+    the a_i across by powers of the b_i.  Unitarity and the block form of the
+    2m generators prove the same decomposition, and no basis is read, so it
+    runs where the basis is above the dense bound (the pipeline's algebra on
+    9 and 10 qubits); above 2m N^2 = 2^24 entries it is refused.
 
     Returns
     -------

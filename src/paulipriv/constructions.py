@@ -17,15 +17,18 @@ The pipeline's certificate is read off the intersection of H and Ann K by
 the dense :func:`~paulipriv.privacy.check_privatized_algebra` stays the test
 oracle and certifies what the CLI is given.
 
-:func:`subgroup_algebra` is the one public way to build the span of a Pauli
-subgroup K.  It keeps K and builds nothing: the one dense class stack of K is
-built, under the dense bound, on the first basis read, which is where a large
-K is refused.  :func:`~paulipriv.privacy.is_quasiorthogonal` decides two such
-spans from K meet H, at any n.  The pipeline's algebra also keeps its encoded
-pairs, and :func:`~paulipriv.algebra.structure_type` builds its block unitary
-from that frame, so the pipeline builds no basis; what bounds it is the
-certificate's rho0, N <= 4096, and ``privacy certify --construct`` hashes the
-dense basis.
+:func:`subgroup_algebra` is the one way to build the span of a Pauli subgroup
+K, the pipeline's included.  It keeps K and builds nothing: the one dense class
+stack of K is built, under the dense bound, on the first basis read, which is
+where a large K is refused.  :func:`~paulipriv.privacy.is_quasiorthogonal`
+decides two such spans from K meet H, at any n.  When K has a trivial centre,
+symplectic Gram-Schmidt reads a symplectic basis off its Howell rows (for a
+prime power d always; over other composite d when the rows do not split over
+its prime factors), and :func:`~paulipriv.algebra.structure_type` builds the
+block unitary from that frame with no basis.  So the pipeline builds no
+basis; what bounds it is the frame's 2m dense generators (its blocks to
+n = 10 qubits), the certificate's rho0 (N <= 4096), and
+``privacy certify --construct``, which hashes the dense basis.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .algebra import (
     structure_type,
 )
 from .errors import NumericalAmbiguityError, PreconditionError
-from .groups import PauliSubgroup, _encoded_pairs, close
+from .groups import PauliSubgroup, _symplectic_pairs, close, encoded_subgroup
 from .pauli import PauliClass, PauliElement, dense_paulis, omega_power, parse_pauli
 from .privacy import (
     PrivacyCertificate,
@@ -76,17 +79,18 @@ def _dense_classes(K: PauliSubgroup, what: str) -> np.ndarray:
 class PauliAlgebra(OperatorAlgebra):
     """span H for a Pauli subgroup H, kept as H; the dense basis is built on first read.
 
-    Not exported: :func:`subgroup_algebra` builds it, and only the pipeline
-    passes ``pairs``.  The basis is the class representatives of H in
-    canonical order over sqrt(N).  With ``pairs``, the (x | z) rows
-    (a_i, b_i) of encoded pairs that generate H, the block decomposition comes
-    from that frame (:func:`_frame_decomposition`) and reads no basis;
-    otherwise it is the dense one of :func:`~paulipriv.algebra.structure_type`.
+    Not exported: :func:`subgroup_algebra` builds it.  The basis is the class
+    representatives of H in canonical order over sqrt(N).  When symplectic
+    Gram-Schmidt finds a symplectic basis of H in its Howell rows
+    (:func:`~paulipriv.groups._symplectic_pairs`: for a prime power d, exactly
+    when H has a trivial centre), the block decomposition comes from that frame
+    (:func:`_frame_decomposition`) and reads no basis; otherwise it is the dense
+    one of :func:`~paulipriv.algebra.structure_type`.
     """
 
-    def __init__(self, H: PauliSubgroup, pairs: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, H: PauliSubgroup):
         # the frozen base refuses only its own field, basis, on a subclass
-        self.subgroup, self.pairs = H, pairs
+        self.subgroup = H
 
     @property
     def N(self) -> int:
@@ -105,9 +109,9 @@ class PauliAlgebra(OperatorAlgebra):
 
     @cached_property
     def _decomposition(self) -> tuple[StructureType, np.ndarray]:
-        if self.pairs is None:
-            return super()._decomposition
-        return _frame_decomposition(self.subgroup, *self.pairs)
+        H = self.subgroup
+        pairs = _symplectic_pairs(H)
+        return super()._decomposition if pairs is None else _frame_decomposition(H, *pairs)
 
     def __repr__(self) -> str:
         H = self.subgroup
@@ -115,20 +119,20 @@ class PauliAlgebra(OperatorAlgebra):
 
 
 def _frame_decomposition(H: PauliSubgroup, a: np.ndarray, b: np.ndarray):
-    """span H = U^dag (I_{N/q} (x) M_q) U from encoded pairs (a_i, b_i) generating H.
+    """span H = U^dag (I_{N/q} (x) M_q) U from a symplectic basis (a_i, b_i) of H.
 
     With the phase zeta^{(1-d) x.z} each dense A_i has A_i^d = I.  The A_i
     generate a free Z_d^m, q = d^m, whose non-identity elements have trace 0,
     so their joint eigenvalue-1 eigenspace V0 has rank N/q.  Column j q + tau
     of U^dag is B^tau V0[:, j] (Poulin, arXiv:quant-ph/0508131).  The check is
-    unitarity, the block form of the 2m generators, and |H| = q^2: the
-    block-form set is a *-algebra, so it holds the algebra the generators
-    span, span H, and the dimensions match.  O(m d N^3); no basis is read.
+    unitarity and the block form of the 2m generators: the block-form set is a
+    *-algebra, so it holds the algebra the generators span, span H, and
+    |H| = q^2 matches its dimension.  O(m d N^3); no basis is read, and the 2m
+    dense generators are refused above the dense bound.
     """
     d, n, m = H.d, H.n, len(a)
     N, q = d**n, d**m
-    if H.order != q * q:
-        raise PreconditionError(f"{m} encoded pairs generate {H.order} classes, not {q * q}")
+    _require_dense(2 * m or 1, N, "the symplectic frame's generators")
     x, z = np.vstack([a[:, :n], b[:, :n]]), np.vstack([a[:, n:], b[:, n:]])
     gens = dense_paulis(d, x, z, (1 - d) * (x * z).sum(axis=1))
     # (1/d) sum_t A_i^t projects onto the eigenvalue-1 eigenspace of A_i; they commute
@@ -183,11 +187,10 @@ def private_algebra_for_abelian(
     """Certified private algebra of floor(k/2) qudits for Abelian K of size d^k, any d.
 
     K needs Howell pivot entries 1 (every K does for prime d); blocks (N/d^m, d^m).
-    The algebra keeps H and its encoded pairs; its basis is built on first read.
+    The algebra is subgroup_algebra(encoded_subgroup(K)); its basis is built on first read.
     """
-    pairs = _encoded_pairs(K)
-    H = PauliSubgroup._span(K.d, K.n, np.vstack(pairs))
-    return PauliAlgebra(H, pairs), check_privatized_subgroup(K, H)
+    H = encoded_subgroup(K)
+    return subgroup_algebra(H), check_privatized_subgroup(K, H)
 
 
 def private_algebra_for_max_abelian(

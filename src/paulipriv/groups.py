@@ -37,7 +37,6 @@ __all__ = [
     "generating_set",
     "intersect",
     "is_abelian",
-    "symplectic_partners",
 ]
 
 _MAX_ELEMENTS = 10**6  # elements enumerated per group
@@ -105,6 +104,13 @@ def _vanishing(rows, r: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return h[keep, r:], tuple(pivots[i] - r for i in keep)
 
 
+def _require_system(m: int, width: int) -> None:
+    """Refuse an m x width integer system above the bound, before it is built."""
+    if m * width > _MAX_KERNEL_ENTRIES:
+        raise PreconditionError(f"a kernel system of {m} x {width} entries is above the bound "
+                                f"{_MAX_KERNEL_ENTRIES}")
+
+
 def _kernel(a, d: int, within=None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Howell form of {v in span within : a v = 0 (mod d)}, v any vector by default.
 
@@ -113,9 +119,7 @@ def _kernel(a, d: int, within=None) -> tuple[np.ndarray, tuple[int, ...]]:
     vanish on the first block; by the Howell property those rows span them all.
     """
     r, m = a.shape
-    if m * (r + m) > _MAX_KERNEL_ENTRIES:
-        raise PreconditionError(f"a kernel system of {m} x {r + m} entries is above the bound "
-                                f"{_MAX_KERNEL_ENTRIES}")
+    _require_system(m, r + m)
     if within is None:
         return _vanishing(np.hstack([a.T, np.eye(m, dtype=np.int64)]), r, d)
     return _vanishing(np.hstack([within @ a.T, within]), r, d)
@@ -335,10 +339,18 @@ def _commuting(rows: np.ndarray, d: int, order=slice(None), within=None) -> tupl
 
 
 def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
-    """(x | z) rows of the partners of rows g, as in symplectic_partners; g must commute."""
+    """(x | z) rows h_j of commuting partners of commuting rows g, chi(g_i, h_j) = omega^delta_ij.
+
+    Symplectic Gram-Schmidt (Koenig & Smolin, arXiv:1406.2170) for the Howell rows
+    of an Abelian K with pivot entries 1 (any Abelian K, prime d), in one Howell
+    solve of [M^T | I], M = [-g_z | g_x] so that (M v)_i = chi(g_i, v).  Back-
+    substitution turns its first k rows into h0 with chi(g_i, h0_j) = delta_ij, and
+    h = h0 + triu(-C, 1) g, C = chi(h0, h0), commute.  O(n^3); nothing is enumerated.
+    """
     if _chi_rows(g, g, d).any():
         raise PreconditionError("symplectic partners need an Abelian K")
     (k, width), n = g.shape, g.shape[1] // 2
+    _require_system(width, k + width)
     m_t = np.vstack([-g[:, n:].T, g[:, :n].T])  # M^T for M = [-g_z | g_x]
     a, pivots = _howell(np.hstack([m_t, np.eye(width, dtype=np.int64)]), d)
     for j in range(k):
@@ -350,33 +362,41 @@ def _partner_rows(g: np.ndarray, d: int) -> np.ndarray:
     return (h - np.triu(_chi_rows(h, h, d), 1) @ g) % d
 
 
-def symplectic_partners(K: PauliSubgroup) -> list[PauliClass]:
-    """Commuting classes h_j with chi(g_i, h_j) = omega^delta_ij, g = generating_set(K).
+def _symplectic_pairs(H: PauliSubgroup) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x | z) rows (a_i, b_i) of a symplectic basis of H, or None when none is found.
 
-    Symplectic Gram-Schmidt (Koenig & Smolin, arXiv:1406.2170) for Abelian K
-    whose Howell rows have pivot entries 1 (any Abelian K, prime d), in one Howell
-    solve of [M^T | I], M = [-g_z | g_x] so that (M v)_i = chi(g_i, v).  Back-
-    substitution turns its first k rows into h0 with chi(g_i, h0_j) = delta_ij, and
-    h = h0 + triu(-C, 1) g, C = chi(h0, h0), commute.  O(n^3); nothing is enumerated.
+    Symplectic Gram-Schmidt (Koenig & Smolin, arXiv:1406.2170) over the Howell rows
+    of H: the first two rows u, w whose chi is a unit mod d become the pair a = u,
+    b = w / chi(u, w), and every row t is projected off it,
+    t <- t - chi(t, b) a + chi(t, a) b, which leaves a and b themselves zero.  Every
+    pairing has unit chi, so the m pairs are free and span d^(2m) classes: they span
+    H iff |H| = d^(2m).  For a prime power d the rows left unpaired are zero unless
+    H has a centre.  Over other composite d they are also left when H is not free,
+    or when its Howell rows split over the prime factors of d, as for
+    <X_1^2, Z_1^2, X_2^3, Z_2^3> over Z_6.  The projection runs on the rows' chi
+    table and coefficients in Python ints: a projected row is orthogonal to the
+    pair, so its chi entries stay its chi with the projected rows.  One product
+    gives the pairs.
     """
-    d, n = K.d, K.n
-    h = _partner_rows(K._gens, d).tolist()
-    return [PauliClass(d, n, tuple(r[:n]), tuple(r[n:])) for r in h]
-
-
-def _encoded_pairs(K: PauliSubgroup) -> tuple[np.ndarray, np.ndarray]:
-    """(x | z) rows, mod d, of a_i = h_{2i} and b_i = h_{2i-1} h_{2i} g_{2i-1} g_{2i}.
-
-    g are the Howell rows of K and h their partners, as in encoded_subgroup.
-    """
-    g, h = K._gens, _partner_rows(K._gens, K.d)
-    return h[1::2] % K.d, (h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]) % K.d
+    d, rows = H.d, H._gens
+    r = len(rows)  # row t of the table g: chi(t, u) for the rows u, then t's coefficients
+    g = np.hstack([_chi_rows(rows, rows, d), np.eye(r, dtype=np.int64)]).tolist()
+    pairs = []
+    while hit := next(((i, j) for i, j in np.ndindex(r, r) if math.gcd(g[i][j], d) == 1), None):
+        i, j = hit
+        s = pow(g[i][j], -1, d)
+        a, b = g[i], [s * c % d for c in g[j]]
+        # t - chi(t, b) a + chi(t, a) b, where chi(t, b) = s t[j] and chi(t, a) = t[i]
+        g = [[(c - s * t[j] * x + t[i] * y) % d for c, x, y in zip(t, a, b)] for t in g]
+        pairs += [a[r:], b[r:]]
+    ab = np.array(pairs, dtype=np.int64).reshape(len(pairs), r) @ rows % d
+    return (ab[0::2], ab[1::2]) if H.order == d ** len(pairs) else None
 
 
 def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
     """The subgroup H of the floor(k/2) encoded qudits of an Abelian K of size d^k.
 
-    With g = generating_set(K) and h = symplectic_partners(K), so that h_j is
+    With g = generating_set(K) and h their symplectic partners, so that h_j is
     X_j in a Clifford frame where g_j is Z_j, encoded qudit i is generated by
     a = h_{2i} and b = h_{2i-1} h_{2i} g_{2i-1} g_{2i}, that is X_{2i} and
     (XZ)_{2i-1} (XZ)_{2i} in that frame.  The x-exponents of a^s b^t there are
@@ -385,7 +405,9 @@ def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:
     diagonal qubit group the pairs are X_{2i} and Y_{2i-1} Y_{2i}.  Any d >= 2; a
     non-Abelian K, or one with a Howell pivot entry other than 1, is refused.
     """
-    return PauliSubgroup._span(K.d, K.n, np.vstack(_encoded_pairs(K)))
+    g, h = K._gens, _partner_rows(K._gens, K.d)
+    pairs = [h[1::2], h[:-1:2] + h[1::2] + g[:-1:2] + g[1::2]]  # the a_i, then the b_i
+    return PauliSubgroup._span(K.d, K.n, np.vstack(pairs))
 
 
 def extend_to_maximal(K: PauliSubgroup) -> PauliSubgroup:

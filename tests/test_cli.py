@@ -786,6 +786,15 @@ def test_huge_composite_d_answers_at_once(capsys, argv, expected):
     assert code == expected and "Traceback" not in err
 
 
+def test_construct_on_many_sites_is_refused_before_the_partner_system(capsys):
+    # one Z on 1500 sites: the partner system would be 3000 x 3001 int64 entries
+    start = time.perf_counter()
+    code, out, err = run(capsys, "privacy", "certify", "--construct", "--group", "Z" + "I" * 1499)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "3000 x 3001 entries is above the bound" in err
+
+
 def test_fuzz_main_exits_0_to_3_without_raising(fuzz_dir):
     # derandomized draws seldom build a valid large group; these reach exit 0
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,5 +1,7 @@
 """Private-subsystem construction pipelines and the worked demonstrations."""
 
+import time
+
 import numpy as np
 import pytest
 import paulipriv
@@ -31,11 +33,11 @@ from paulipriv import (
     subgroup_algebra,
     two_qutrit_demo,
 )
-from paulipriv import Channel
+from paulipriv import Channel, OperatorAlgebra, annihilator, intersect
 from paulipriv.algebra import _verify_block_form
-from paulipriv.constructions import _frame_decomposition, phase_flip_demo
+from paulipriv.constructions import phase_flip_demo
 from paulipriv.cli import _algebra_from_arg
-from paulipriv.groups import generating_set
+from paulipriv.groups import _symplectic_pairs, generating_set
 from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
 
 
@@ -431,14 +433,19 @@ def test_frame_decomposition_serves_every_dense_consumer(d, n, k):
         u[0, 0] = 0.0
 
 
-def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch):
-    # the benchmark's certify_pipeline op: close, the pipeline, structure_type and
-    # is_quasiorthogonal(subgroup_algebra(K), alg)
+def refuse_dense_decomposition(monkeypatch):
     import paulipriv.algebra as algebra_module
-    import paulipriv.constructions as constructions_module
 
     def refuse(A, rng):
         raise AssertionError("a dense decomposition was drawn")
+
+    monkeypatch.setattr(algebra_module, "_decompose", refuse)
+
+
+def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch):
+    # the benchmark's certify_pipeline op: close, the pipeline, structure_type and
+    # is_quasiorthogonal(subgroup_algebra(K), alg)
+    import paulipriv.constructions as constructions_module
 
     stacks = []
 
@@ -446,7 +453,7 @@ def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch
         stacks.append(len(x))
         return dense_paulis(d, x, z, phases)
 
-    monkeypatch.setattr(algebra_module, "_decompose", refuse)
+    refuse_dense_decomposition(monkeypatch)
     monkeypatch.setattr(constructions_module, "dense_paulis", counting)
     for d, n, k in FRAME_CASES:
         K = close(generating_set(pipeline_group(d, n, k)), d=d, n=n)
@@ -482,12 +489,91 @@ def test_integer_quasiorthogonality_builds_no_dense_stack(monkeypatch):
     assert not is_quasiorthogonal(subgroup_algebra(K), subgroup_algebra(K))
 
 
-def test_frame_refuses_pairs_that_do_not_generate_the_group():
-    # X_2 and Y_1 Y_2 generate 4 classes; with Z_1 adjoined H has 8, so span H is
-    # no I (x) M_2 and the integer check |H| = q^2 refuses before any dense step
-    a, b = np.array([[0, 1, 0, 0]]), np.array([[1, 1, 1, 1]])
+def test_frame_is_taken_exactly_when_the_group_pairs_up(monkeypatch):
+    # <IX, YY> is M_2 (x) I_2 with no centre: the frame, read off the group itself
+    H = close([cls("IX"), cls("YY")])
+    a, b = _symplectic_pairs(H)
+    assert (len(a), len(b)) == (1, 1)
+    with monkeypatch.context() as m:
+        refuse_dense_decomposition(m)
+        assert structure_type(subgroup_algebra(H))[0].blocks == ((2, 2),)
+    # with Z_1 adjoined H has the centre {II, ZX}: M_2 + M_2, the generic route
     H = close([cls("IX"), cls("YY"), cls("ZI")])
-    with pytest.raises(PreconditionError, match="generate 8 classes, not 4"):
-        _frame_decomposition(H, a, b)
-    st, _ = _frame_decomposition(close([cls("IX"), cls("YY")]), a, b)
-    assert st.blocks == ((2, 2),)
+    assert _symplectic_pairs(H) is None
+    assert structure_type(subgroup_algebra(H))[0].blocks == ((1, 2), (1, 2))
+    # Z_3^2 on site 1 and Z_2^2 on site 2 over Z_6: no centre and free, but no two
+    # Howell rows pair to a unit, so the generic route decides
+    H = close([cls(t, 6) for t in ("X2:I", "Z2:I", "I:X3", "I:Z3")])
+    assert _symplectic_pairs(H) is None and intersect(H, annihilator(H)).order == 1
+    assert structure_type(subgroup_algebra(H))[0].blocks == ((6, 6),)
+
+
+def symplectic_group(d, n, m):
+    """<X_i, Z_i : i <= m> on n sites over Z_d moved by transvections: no centre, free."""
+    rng = np.random.default_rng([d, n, m])
+    rows = np.zeros((2 * m, 2 * n), dtype=np.int64)
+    rows[np.arange(m), np.arange(m)] = 1
+    rows[m + np.arange(m), n + np.arange(m)] = 1
+    moves = [(rng.integers(0, d, 2 * n), int(rng.integers(1, d))) for _ in range(6)]
+    rows = transvect(rows, moves, d).tolist()
+    return close([PauliClass(d, n, r[:n], r[n:]) for r in rows], d=d, n=n)
+
+
+# (d, n, m) for every d in 2..12, d^n <= 64, m = 0 and pairs up to q = d^m <= 16
+SYMPLECTIC_CASES = [(2, 6, 2), (2, 5, 4), (2, 3, 3), (2, 1, 0), (3, 3, 1), (3, 2, 2), (4, 3, 1),
+                    (4, 2, 2), (5, 2, 1), (6, 2, 1), (7, 2, 1), (8, 2, 1), (8, 1, 1), (9, 1, 1),
+                    (10, 1, 1), (11, 1, 1), (12, 1, 1), (12, 1, 0)]
+
+
+@pytest.mark.parametrize("d,n,m", SYMPLECTIC_CASES)
+def test_frame_route_agrees_with_the_generic_route(monkeypatch, d, n, m):
+    H = symplectic_group(d, n, m)
+    N, q = d**n, d**m
+    assert H.order == q * q and intersect(H, annihilator(H)).order == 1
+    alg = subgroup_algebra(H)
+    with monkeypatch.context() as patched:
+        refuse_dense_decomposition(patched)
+        st, _ = structure_type(alg)
+        C, E = commutant(alg), conditional_expectation(alg)
+    dense = OperatorAlgebra(alg.basis)  # the generic route: the same basis, no subgroup
+    assert st == structure_type(dense)[0] and st.blocks == ((N // q, q),)
+    assert same_span(C, commutant(dense))
+    E_dense = conditional_expectation(dense)
+    if N <= 32:
+        assert choi_equal(E, E_dense)
+    else:  # the Choi matrices would hold 2 N^4 entries; compare on random inputs
+        x = np.random.default_rng(N).standard_normal((3, N, N)).astype(complex)
+        for y in x:
+            assert np.abs(apply_channel(E, y) - apply_channel(E_dense, y)).max() < 1e-9
+
+
+def test_a_group_with_a_centre_keeps_the_generic_route_bit_for_bit():
+    groups = [close([cls(g) for g in gens])
+              for gens in (("ZI", "IX", "IZ"), ("ZII", "IZI", "IIZ"), ("XX", "ZZ"))]
+    groups += [diagonal_subgroup(3, 2), random_maximal_abelian(np.random.default_rng(24), 2, 3)]
+    for H in groups:
+        assert _symplectic_pairs(H) is None
+        st, u = structure_type(subgroup_algebra(H))
+        # the generic route is the draw from the same fixed seed on the same basis
+        st_dense, u_dense = structure_type(OperatorAlgebra(subgroup_algebra(H).basis))
+        assert st == st_dense and np.array_equal(u, u_dense)
+
+
+@pytest.mark.parametrize("d,n,k", FRAME_CASES)
+def test_pipeline_algebra_is_the_span_of_the_encoded_subgroup(d, n, k):
+    K = pipeline_group(d, n, k)
+    alg, _ = private_algebra_for_abelian(K)
+    H = encoded_subgroup(K)
+    plain = subgroup_algebra(H)
+    assert type(alg) is type(plain) and np.array_equal(alg.subgroup._gens, H._gens)
+    assert alg.subgroup._pivots == H._pivots
+    assert np.array_equal(structure_type(alg)[1], structure_type(plain)[1])
+
+
+def test_frame_refuses_a_dense_stack_above_the_bound_at_once():
+    # n = 11: 10 generators of 2048 x 2048 entries, above the bound of 2^24
+    H = encoded_subgroup(diagonal_subgroup(2, 11))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="symplectic frame's generators need 10 x 2048"):
+        structure_type(subgroup_algebra(H))
+    assert time.perf_counter() - start < 0.1

@@ -28,9 +28,10 @@ from paulipriv.groups import (
     _commuting,
     _howell,
     _kernel,
+    _partner_rows,
+    _symplectic_pairs,
     generating_set,
     intersect,
-    symplectic_partners,
 )
 from helpers import (
     brute_closure,
@@ -563,11 +564,14 @@ def _form(a, b, d):
     return (a[:, :n] @ b[:, n:].T - a[:, n:] @ b[:, :n].T) % d
 
 
+def _partners(K):
+    return _partner_rows(K._gens, K.d)
+
+
 def _check_partners(K):
-    g, h = generating_set(K), symplectic_partners(K)
-    G, H = [c.x + c.z for c in g], [c.x + c.z for c in h]
-    assert (_form(G, H, K.d) == np.eye(len(g), dtype=np.int64)).all()
-    assert not _form(H, H, K.d).any()
+    g, h = K._gens, _partners(K)
+    assert (_form(g, h, K.d) == np.eye(len(g), dtype=np.int64)).all()
+    assert not _form(h, h, K.d).any()
     return g, h
 
 
@@ -577,8 +581,8 @@ def test_symplectic_partners_z_type_large_n(k):
     zs = [PauliClass(2, n, (0,) * n, tuple(int(i == j) for i in range(n))) for j in range(k)]
     _, h = _check_partners(close(zs))  # Howell rows only; nothing is enumerated
     # the partners of the Z_j are exactly the X_j (the pinned ZI,IZ construction rests on it)
-    assert [c.x for c in h] == [tuple(int(i == j) for i in range(n)) for j in range(k)]
-    assert not any(any(c.z) for c in h)
+    assert h[:, :n].tolist() == [[int(i == j) for i in range(n)] for j in range(k)]
+    assert not h[:, n:].any()
 
 
 @st.composite
@@ -610,14 +614,14 @@ def test_property_symplectic_partners(case):
     # has the Howell rows X^2 Z and Z^2.
     if any(h[c] != 1 for h, c in zip(K._gens, K._pivots)):
         with pytest.raises(PreconditionError, match="no symplectic partner"):
-            symplectic_partners(K)
+            _partners(K)
         return
     g, h = _check_partners(K)
     assert len(g) == len(rows)
     if d in (2, 3, 4) and d**n <= 81:
         # dense oracle: g_i h_j = omega^delta_ij h_j g_i
         w = np.exp(2j * np.pi / d)
-        dense = lambda c: dense_oracle(d, 0, c.x, c.z)  # noqa: E731
+        dense = lambda r: dense_oracle(d, 0, r[:n], r[n:])  # noqa: E731
         for i, gi in enumerate(g):
             for j, hj in enumerate(h):
                 a, b = dense(gi), dense(hj)
@@ -625,25 +629,63 @@ def test_property_symplectic_partners(case):
 
 
 def test_symplectic_partners_of_the_trivial_group():
-    assert symplectic_partners(close((), d=4, n=3)) == []
+    assert _partners(close((), d=4, n=3)).shape == (0, 6)
 
 
 def test_symplectic_partners_name_the_generator_without_one():
     # over Z_4, <Z_1, Z_2^2>: Z_2^2 has even chi exponents with every class
     K = close([parse_pauli(s, d=4).pauli_class() for s in ("Z1:I", "I:Z2")])
     with pytest.raises(PreconditionError, match="generator 2 of K"):
-        symplectic_partners(K)
+        _partners(K)
 
 
 def test_symplectic_partners_need_an_abelian_group():
     with pytest.raises(PreconditionError, match="Abelian"):
-        symplectic_partners(close([cls("X"), cls("Z")]))
+        _partners(close([cls("X"), cls("Z")]))
 
 
 def test_symplectic_partners_need_a_free_generator():
     # over Z_4, 2 Z has chi exponent 0 or 2 with every class: no unit partner
     with pytest.raises(PreconditionError, match="generator 1 of K"):
-        symplectic_partners(close([parse_pauli("Z2", d=4).pauli_class()]))
+        _partners(close([parse_pauli("Z2", d=4).pauli_class()]))
+
+
+def test_symplectic_partners_refuse_a_system_above_the_bound_before_building_it():
+    # one Z on 1500 sites: [M^T | I] would be 3000 x 3001 int64 entries (72 MB)
+    n = 1500
+    K = close([PauliClass(2, n, (0,) * n, (1,) + (0,) * (n - 1))])
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="3000 x 3001 entries is above the bound"):
+        encoded_subgroup(K)
+    assert time.perf_counter() - start < 1.0
+    # 128 sites, k = 128: 256 x 384 entries, far below it
+    assert encoded_subgroup(diagonal_subgroup(2, 128)).order == 2**128
+
+
+def _centre(H):
+    return intersect(H, annihilator(H))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 12])
+def test_symplectic_pairs_span_every_centre_free_group_over_a_prime_power(d):
+    rng = np.random.default_rng([d, 24])
+    seen = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        H = random_subgroup(rng, d, n)
+        pairs = _symplectic_pairs(H)
+        seen.add(pairs is None)
+        if pairs is None:
+            # over 6 and 12 also a non-free H, or Howell rows split over 2 and 3
+            assert _centre(H).order > 1 or d in (6, 12)
+            continue
+        a, b = pairs
+        m = len(a)
+        assert (_form(a, b, d) == np.eye(m, dtype=np.int64)).all()
+        assert not _form(a, a, d).any() and not _form(b, b, d).any()
+        assert H.order == d ** (2 * m) and PauliSubgroup._span(d, n, np.vstack(pairs)) == H
+        assert _centre(H).order == 1
+    assert seen == {True, False}  # both outcomes are met
 
 
 def test_groups_of_order_2_to_the_64_enumerate_nothing():
@@ -653,10 +695,11 @@ def test_groups_of_order_2_to_the_64_enumerate_nothing():
     try:
         # each of these raises if it enumerates a group above the element bound
         K, D = close(zs), diagonal_subgroup(2, n)
-        ann, H, h = annihilator(K), encoded_subgroup(K), symplectic_partners(K)
+        ann, H, h = annihilator(K), encoded_subgroup(K), _partners(K)
+        h2 = PauliClass(2, n, tuple(h[1, :n]), tuple(h[1, n:]))
         assert K == D == ann and hash(K) == hash(D) == hash(close(zs[::-1]))
         assert is_abelian(K) and not is_abelian(H) and K != H
-        assert zs[5] in K and h[1] not in K and h[1] in H  # h_2 = X_2
+        assert zs[5] in K and h2 not in K and h2 in H  # h_2 = X_2
         sub = close(zs[1:])
         assert sub.issubset(K) and not K.issubset(sub) and K != sub
         assert repr(K) == f"PauliSubgroup(d=2, n=64, size={2**64})"
