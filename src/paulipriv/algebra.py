@@ -9,8 +9,9 @@ including Choi-matrix equality.
 The block structure A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U comes from the
 eigenspaces of one generic element of A (Murota, Kanno, Kojima & Kojima,
 Japan J. Indust. Appl. Math. 27, 2010) in O(dim A N^2 + N^3), with no
-N^2 x N^2 matrix.  Each algebra computes it once and keeps it; the commutant
-U^dag (sum_i M_{k_i} (x) I_{q_i}) U and the conditional expectation read it.
+N^2 x N^2 matrix.  Each algebra computes it once and keeps it; the conditional
+expectation reads it, and the commutant U^dag (sum_i M_{k_i} (x) I_{q_i}) U
+keeps it, each block's factors swapped, as its own.
 
 The span of a Pauli subgroup (:func:`~paulipriv.constructions.subgroup_algebra`,
 the one way in) keeps its subgroup; its basis is built on first read, where
@@ -198,16 +199,16 @@ def _append_independent(stack: np.ndarray | None, cands: np.ndarray) -> np.ndarr
 def span_closure(ops, *, N: int | None = None) -> OperatorAlgebra:
     """Smallest unital *-algebra containing ``ops``, as an orthonormal basis.
 
-    The identity is adjoined automatically.  The basis is grown by spinning
+    The identity is adjoined automatically.  The orthonormal basis of
+    span{I, ops}, kept by an input already closed, is grown by spinning
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005):
-    each new basis element is multiplied on the left by a fixed set of
-    multipliers, the orthonormal basis of span{I, ops} and its adjoints,
-    until no product adds a dimension.  The span W reached contains I and is
-    closed under left multiplication by the generators and their adjoints,
-    so it holds every word in them and nothing else: W is the *-algebra they
-    generate, closed under products and adjoints.  Each new element costs at
-    most 2 (len(ops) + 1) candidate products, and the span never exceeds N^2
-    dimensions.  ``N``, when given, must match the operators.
+    each new basis element is multiplied on the left by the nonzero generators,
+    scaled to unit Frobenius norm so that the row filter keeps a tiny one's
+    products, and by their adjoints, until no product adds a dimension.  The
+    span W reached contains I and is closed under these multipliers, so it holds
+    every word in the generators and nothing else: W is the *-algebra they
+    generate.  Each element costs at most 2 len(ops) candidate products, and the
+    span never exceeds N^2 dimensions.  ``N``, when given, must match the ops.
     """
     mats = [_as_square(op) for op in ops]
     if N is None and not mats:
@@ -219,9 +220,9 @@ def span_closure(ops, *, N: int | None = None) -> OperatorAlgebra:
     rows = [np.eye(N, dtype=complex).reshape(-1) / math.sqrt(N)]
     rows += [m.reshape(-1) for m in mats]
     stack = _append_independent(None, np.array(rows))
-    first = stack.reshape(-1, N, N)
-    mults = np.concatenate([first, first.conj().transpose(0, 2, 1)]).reshape(-1, N)
-    pending = list(range(len(stack)))
+    gens = np.array([m / s for m in mats if (s := np.linalg.norm(m)) > 0]).reshape(-1, N, N)
+    mults = np.concatenate([gens, gens.conj().transpose(0, 2, 1)]).reshape(-1, N)
+    pending = list(range(len(stack))) if len(gens) else []
     while pending:
         chunk = max(1, 8_000_000 // (len(mults) * L))
         take, pending = pending[:chunk], pending[chunk:]
@@ -374,7 +375,8 @@ def structure_type(A: OperatorAlgebra) -> tuple[StructureType, np.ndarray]:
     have sum q_i^2 = dim A and every basis element passes the block-form
     check, which together prove A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U;
     otherwise another draw is taken, up to 16.  The seed is fixed, so U
-    depends only on A; it is computed once, kept with A and read-only.
+    depends only on A; it is computed once, kept with A and read-only.  A
+    commutant draws none: it keeps its algebra's, checked as its own.
 
     The span of a Pauli subgroup H with a trivial centre takes another route
     when symplectic Gram-Schmidt reads pairs (a_i, b_i) with
@@ -417,12 +419,23 @@ def commutant(A: OperatorAlgebra) -> OperatorAlgebra:
 
     With A = U^dag (sum_i I_{k_i} (x) M_{q_i}) U from :func:`structure_type`,
     the commutant is U^dag (sum_i M_{k_i} (x) I_{q_i}) U, spanned by the
-    normalized matrix units E_jl (x) I_q of each block.
+    normalized matrix units E_jl (x) I_q of each block.  It keeps A's
+    decomposition, checked on its basis, with the factors of each block swapped.
     """
     st, u = structure_type(A)
-    return OperatorAlgebra(
+    C = OperatorAlgebra(
         np.concatenate([units / math.sqrt(q) for _, q, units in _matrix_units(st, u)])
     )
+    # row j q + a of block (k, q) is row a k + j of block (q, k); blocks sorted by (k, q)
+    starts = np.cumsum([0] + [k * q for k, q in st.blocks])
+    swapped = sorted(zip(st.blocks, starts), key=lambda block: block[0])
+    perm = [lo + np.arange(k * q).reshape(k, q).T.ravel() for (k, q), lo in swapped]
+    v = u[np.concatenate(perm)]
+    v.setflags(write=False)
+    st_c = StructureType(tuple((q, k) for (k, q), _ in swapped))
+    _verify_block_form(v, C.basis, st_c.blocks)
+    object.__setattr__(C, "_decomposition", (st_c, v))
+    return C
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,6 +110,7 @@ class PauliAlgebra(OperatorAlgebra):
     @cached_property
     def _decomposition(self) -> tuple[StructureType, np.ndarray]:
         H = self.subgroup
+        _require_dense(1, self.N, "the block decomposition's unitary")  # before any pairing
         pairs = _symplectic_pairs(H)
         return super()._decomposition if pairs is None else _frame_decomposition(H, *pairs)
 

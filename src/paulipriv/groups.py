@@ -272,6 +272,7 @@ def intersect(A: PauliSubgroup, B: PauliSubgroup) -> PauliSubgroup:
         raise PreconditionError(
             f"subgroups live on different spaces: d={A.d},n={A.n} vs d={B.d},n={B.n}"
         )
+    _require_system(len(A._gens) + len(B._gens), 4 * A.n)
     rows = np.vstack([np.hstack([A._gens, A._gens]), np.hstack([B._gens, np.zeros_like(B._gens)])])
     return PauliSubgroup._from_howell(A.d, A.n, *_vanishing(rows, 2 * A.n, A.d))
 

@@ -1,5 +1,7 @@
 """Dense *-algebra computations against explicit small oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from paulipriv import (
     subgroup_algebra,
 )
 from paulipriv import character_matrix, check_privatized_subgroup, close, diagonal_subgroup
-from paulipriv.algebra import _append_independent, superoperator
+from paulipriv.algebra import _append_independent, _verify_block_form, superoperator
 from helpers import (
     X2,
     gram_commutant,
@@ -298,7 +300,8 @@ def test_span_closure_needs_adjoint_multipliers():
 
 
 def test_span_closure_candidates_per_element(monkeypatch):
-    # spinning multiplies each new element by at most 2 (#gens + 1) operators
+    # spinning multiplies each element by at most 2 #gens operators: the generators
+    # and their adjoints, with no identity direction
     import paulipriv.algebra as algebra_module
 
     real = algebra_module._append_independent
@@ -320,7 +323,58 @@ def test_span_closure_candidates_per_element(monkeypatch):
 
         monkeypatch.setattr(algebra_module, "_append_independent", counting)
         alg = span_closure(gens)
-        assert sum(rows) <= 2 * (len(gens) + 1) * alg.dim
+        assert sum(rows) <= 2 * len(gens) * alg.dim
+
+
+def test_span_closure_scales_its_multipliers():
+    # 1e-14 E_12 is below the row filter, but it generates M_2 as E_12 does
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    alg = span_closure([1e-14 * e12])
+    assert alg.dim == 4
+    alg.verify()
+    # a zero generator adds nothing and is not divided by its norm: span{I, Z}, and C I
+    z = dense("Z")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alg = span_closure([np.zeros((2, 2)), z])
+        assert span_closure([np.zeros((2, 2))]).dim == 1
+    assert alg.dim == 2 and alg.contains(z) and not alg.contains(dense("X"))
+
+
+# (k, q) blocks with some k != q, a repeated pair and a commutative algebra
+SWAPPED_CASES = [((2, 3), (3, 2)), ((1, 4), (4, 2), (4, 1)), ((2, 3), (2, 3), (1, 2)),
+                 ((3, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("blocks", SWAPPED_CASES)
+def test_commutant_keeps_the_swapped_decomposition(monkeypatch, blocks):
+    # A = U^dag (sum I_k (x) M_q) U has commutant U^dag (sum M_k (x) I_q) U: the
+    # commutant carries A's U with each block's factors swapped, and draws nothing
+    import paulipriv.algebra as algebra_module
+
+    real = algebra_module._decompose
+    drawn = []
+
+    def counting(A, rng):
+        drawn.append(A)
+        return real(A, rng)
+
+    rng = np.random.default_rng(109)
+    N = sum(k * q for k, q in blocks)
+    basis = planted_basis(blocks, haar_unitary(rng, N))
+    A = span_closure(list(np.tensordot(rng.standard_normal((2, len(basis))), basis, 1)))
+    monkeypatch.setattr(algebra_module, "_decompose", counting)
+    C = commutant(A)
+    report = quasiorth_condition_suite(A, C)
+    assert len(drawn) == 1 and drawn[0] is A
+    assert report.consistent and report.verdict == (len(blocks) == 1)
+    st_c, u_c = structure_type(C)
+    fresh, _ = real(OperatorAlgebra(C.basis), np.random.default_rng(110))
+    assert st_c == fresh
+    assert st_c.blocks == tuple(sorted(((q, k) for k, q in blocks), key=lambda b: (b[1], b[0])))
+    _verify_block_form(u_c, C.basis, st_c.blocks)
+    assert not u_c.flags.writeable
+    assert choi_equal(conditional_expectation(C), conditional_expectation(OperatorAlgebra(C.basis)))
 
 
 def test_span_closure_rejects_mismatched_N():

@@ -570,6 +570,23 @@ def test_pipeline_algebra_is_the_span_of_the_encoded_subgroup(d, n, k):
     assert np.array_equal(structure_type(alg)[1], structure_type(plain)[1])
 
 
+def test_structure_type_refuses_above_the_dense_bound_before_pairing(monkeypatch):
+    def refuse(H):
+        raise AssertionError("symplectic Gram-Schmidt ran before the size bound")
+
+    monkeypatch.setattr(paulipriv.constructions, "_symplectic_pairs", refuse)
+    n = 64  # every route builds a 2^64 x 2^64 unitary
+    sites = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    full = close([PauliClass(2, n, s, (0,) * n) for s in sites]
+                 + [PauliClass(2, n, (0,) * n, s) for s in sites])
+    for H in (encoded_diagonal(n), full):
+        alg = subgroup_algebra(H)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="block decomposition's unitary"):
+            structure_type(alg)
+        assert time.perf_counter() - start < 0.1
+
+
 def test_frame_refuses_a_dense_stack_above_the_bound_at_once():
     # n = 11: 10 generators of 2048 x 2048 entries, above the bound of 2^24
     H = encoded_subgroup(diagonal_subgroup(2, 11))

@@ -809,6 +809,22 @@ def test_intersect_of_large_groups_enumerates_nothing():
     assert intersect(low, high).order == 1 and intersect(H, H) == H
 
 
+def test_intersect_refuses_a_system_above_its_bound_before_building_it(monkeypatch):
+    import paulipriv.groups as groups_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stacked system was solved")
+
+    # [[A | A], [B | 0]] for the full 8-qubit group and its Z part: 24 x 32 entries
+    zs = [PauliClass(2, 8, (0,) * 8, tuple(int(i == j) for i in range(8))) for j in range(8)]
+    xs = [PauliClass(2, 8, tuple(int(i == j) for i in range(8)), (0,) * 8) for j in range(8)]
+    A, B = close(xs + zs), close(zs)
+    monkeypatch.setattr(groups_module, "_MAX_KERNEL_ENTRIES", 24 * 32 - 1)
+    monkeypatch.setattr(groups_module, "_howell", refuse)
+    with pytest.raises(PreconditionError, match="kernel system of 24 x 32 entries"):
+        intersect(A, B)
+
+
 def test_intersect_needs_one_space():
     with pytest.raises(PreconditionError, match="different spaces"):
         intersect(close([cls("Z")]), close([cls("ZI")]))
