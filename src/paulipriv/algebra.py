@@ -17,7 +17,7 @@ The span of a Pauli subgroup (:func:`~paulipriv.constructions.subgroup_algebra`,
 the one way in) keeps its subgroup; its basis is built on first read, where
 the same bound refuses it, and integer quasiorthogonality works at any n.  The
 block structure of a span with a symplectic basis, the pipeline's included, is
-built from that frame, with no generic element.
+built from that frame, with no generic element or eigendecomposition.
 
 Rank, cluster and coupling decisions are never silent: singular values,
 eigenvalue gaps or coupling norms inside a factor-of-ten window around the
@@ -204,11 +204,12 @@ def span_closure(ops, *, N: int | None = None) -> OperatorAlgebra:
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005):
     each new basis element is multiplied on the left by the nonzero generators,
     scaled to unit Frobenius norm so that the row filter keeps a tiny one's
-    products, and by their adjoints, until no product adds a dimension.  The
-    span W reached contains I and is closed under these multipliers, so it holds
-    every word in the generators and nothing else: W is the *-algebra they
-    generate.  Each element costs at most 2 len(ops) candidate products, and the
-    span never exceeds N^2 dimensions.  ``N``, when given, must match the ops.
+    products, and by the adjoints of those not exactly hermitian, until no
+    product adds a dimension.  The span W reached contains I and is closed under
+    these multipliers, so it holds every word in the generators and nothing
+    else: W is the *-algebra they generate.  Each element costs at most
+    2 len(ops) candidate products, len(ops) for hermitian ops, and the span
+    never exceeds N^2 dimensions.  ``N``, when given, must match the ops.
     """
     mats = [_as_square(op) for op in ops]
     if N is None and not mats:
@@ -221,12 +222,13 @@ def span_closure(ops, *, N: int | None = None) -> OperatorAlgebra:
     rows += [m.reshape(-1) for m in mats]
     stack = _append_independent(None, np.array(rows))
     gens = np.array([m / s for m in mats if (s := np.linalg.norm(m)) > 0]).reshape(-1, N, N)
-    mults = np.concatenate([gens, gens.conj().transpose(0, 2, 1)]).reshape(-1, N)
+    adj = gens.conj().transpose(0, 2, 1)  # a generator equal to its adjoint is not repeated
+    mults = np.concatenate([gens, adj[(adj != gens).any(axis=(1, 2))]]).reshape(-1, N)
     pending = list(range(len(stack))) if len(gens) else []
     while pending:
         chunk = max(1, 8_000_000 // (len(mults) * L))
         take, pending = pending[:chunk], pending[chunk:]
-        # every multiplier times every new element in one (2 r N, N) @ (N, t N) product
+        # every multiplier times every new element in one (r N, N) @ (N, t N) product
         newm = stack[take].reshape(-1, N, N).transpose(1, 0, 2).reshape(N, -1)
         cands = (mults @ newm).reshape(-1, N, len(take), N).transpose(0, 2, 1, 3)
         before = len(stack)
@@ -380,12 +382,13 @@ def structure_type(A: OperatorAlgebra) -> tuple[StructureType, np.ndarray]:
 
     The span of a Pauli subgroup H with a trivial centre takes another route
     when symplectic Gram-Schmidt reads pairs (a_i, b_i) with
-    chi(a_i, b_j) = omega^delta_ij off the Howell rows of H (for a prime
-    power d it always does): U^dag maps the joint eigenvalue-1 eigenspace of
-    the a_i across by powers of the b_i.  Unitarity and the block form of the
-    2m generators prove the same decomposition, and no basis is read, so it
-    runs where the basis is above the dense bound (the pipeline's algebra on
-    9 and 10 qubits); above 2m N^2 = 2^24 entries it is refused.
+    chi(a_i, b_j) = omega^delta_ij off the Howell rows of H (for a prime power
+    d it always does): U^dag maps the joint eigenvalue-1 eigenspace V0 of the
+    a_i, whose orthonormal basis is read off its projector's columns with no
+    eigendecomposition, across by powers of the b_i.  Unitarity and the block
+    form of the 2m generators prove the same decomposition, and no basis is
+    read, so it runs where the basis is above the dense bound (the pipeline's
+    algebra on 9 and 10 qubits); above 2m N^2 = 2^24 entries it is refused.
 
     Returns
     -------

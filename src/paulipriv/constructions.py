@@ -25,10 +25,10 @@ decides two such spans from K meet H, at any n.  When K has a trivial centre,
 symplectic Gram-Schmidt reads a symplectic basis off its Howell rows (for a
 prime power d always; over other composite d when the rows do not split over
 its prime factors), and :func:`~paulipriv.algebra.structure_type` builds the
-block unitary from that frame with no basis.  So the pipeline builds no
-basis; what bounds it is the frame's 2m dense generators (its blocks to
-n = 10 qubits), the certificate's rho0 (N <= 4096), and
-``privacy certify --construct``, which hashes the dense basis.
+block unitary from that frame, V0 read off its projector's columns, with no
+basis or eigendecomposition.  What bounds the pipeline is the frame's 2m dense
+generators (its blocks to n = 10 qubits), the certificate's rho0 (N <= 4096),
+and ``privacy certify --construct``, which hashes the dense basis.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ class PauliAlgebra(OperatorAlgebra):
     representatives of H in canonical order over sqrt(N).  When symplectic
     Gram-Schmidt finds a symplectic basis of H in its Howell rows
     (:func:`~paulipriv.groups._symplectic_pairs`: for a prime power d, exactly
-    when H has a trivial centre), the block decomposition comes from that frame
-    (:func:`_frame_decomposition`) and reads no basis; otherwise it is the dense
-    one of :func:`~paulipriv.algebra.structure_type`.
+    when H has a trivial centre), :func:`_frame_decomposition` builds the block
+    decomposition from it, V0 read off a projector's columns, with no basis;
+    otherwise it is the dense one of :func:`~paulipriv.algebra.structure_type`.
     """
 
     def __init__(self, H: PauliSubgroup):
@@ -122,14 +122,15 @@ class PauliAlgebra(OperatorAlgebra):
 def _frame_decomposition(H: PauliSubgroup, a: np.ndarray, b: np.ndarray):
     """span H = U^dag (I_{N/q} (x) M_q) U from a symplectic basis (a_i, b_i) of H.
 
-    With the phase zeta^{(1-d) x.z} each dense A_i has A_i^d = I.  The A_i
-    generate a free Z_d^m, q = d^m, whose non-identity elements have trace 0,
-    so their joint eigenvalue-1 eigenspace V0 has rank N/q.  Column j q + tau
-    of U^dag is B^tau V0[:, j] (Poulin, arXiv:quant-ph/0508131).  The check is
-    unitarity and the block form of the 2m generators: the block-form set is a
-    *-algebra, so it holds the algebra the generators span, span H, and
-    |H| = q^2 matches its dimension.  O(m d N^3); no basis is read, and the 2m
-    dense generators are refused above the dense bound.
+    With the phase zeta^{(1-d) x.z} each dense A_i has A_i^d = I.  The A_i generate
+    a free Z_d^m, q = d^m, of monomial matrices, traceless but for I; their mean p0
+    projects onto V0 of rank N/q, each entry 0 or at least 1/q in modulus.  One
+    orbit's columns are parallel, two orbits' disjoint: the N/q normalized columns
+    j whose first nonzero entry is p0[j, j], decided at 1/(2q), are an orthonormal
+    basis of V0.  Column j q + tau of U^dag is B^tau V0[:, j] (Poulin,
+    quant-ph/0508131).  Unitarity and the block form of the 2m generators check it:
+    the block-form set is a *-algebra, so it holds span H, of dimension q^2 = |H|.
+    O(m d N^3); no basis is read, and the 2m generators obey the dense bound.
     """
     d, n, m = H.d, H.n, len(a)
     N, q = d**n, d**m
@@ -142,13 +143,12 @@ def _frame_decomposition(H: PauliSubgroup, a: np.ndarray, b: np.ndarray):
         power = power @ gens[:m]
         total = total + power
     p0 = reduce(np.matmul, total / d, np.eye(N, dtype=complex))
-    w, v = np.linalg.eigh((p0 + p0.conj().T) / 2)
-    rank = int((w > 0.5).sum())
-    if rank != N // q:
+    big = np.abs(p0) > 1 / (2 * q)
+    reps = np.flatnonzero(big.diagonal() & ~np.triu(big, 1).any(axis=0))
+    if len(reps) != N // q:
         raise NumericalAmbiguityError(
-            f"joint eigenvalue-1 eigenspace of the encoded a_i has rank {rank}, not N/q = {N // q}"
-        )
-    cols = v[None, :, w > 0.5]  # cols[tau] = B^tau V0 for tau in mixed radix, b_m slowest
+            f"the a_i's projector has {len(reps)} orbit columns, not N/q = {N // q}")
+    cols = (p0[:, reps] / np.sqrt(p0[reps, reps].real))[None]  # cols[tau] = B^tau V0, b_m slowest
     for y in gens[m:]:
         steps = [cols]
         for _ in range(d - 1):

@@ -374,24 +374,21 @@ def _symplectic_pairs(H: PauliSubgroup) -> tuple[np.ndarray, np.ndarray] | None:
     H iff |H| = d^(2m).  For a prime power d the rows left unpaired are zero unless
     H has a centre.  Over other composite d they are also left when H is not free,
     or when its Howell rows split over the prime factors of d, as for
-    <X_1^2, Z_1^2, X_2^3, Z_2^3> over Z_6.  The projection runs on the rows' chi
-    table and coefficients in Python ints: a projected row is orthogonal to the
-    pair, so its chi entries stay its chi with the projected rows.  One product
-    gives the pairs.
+    <X_1^2, Z_1^2, X_2^3, Z_2^3> over Z_6.  The projection runs on the (x | z)
+    rows themselves, reduced mod d after each product, so no int64 product
+    reaches d^2; the chi table is read afresh each round.
     """
     d, rows = H.d, H._gens
-    r = len(rows)  # row t of the table g: chi(t, u) for the rows u, then t's coefficients
-    g = np.hstack([_chi_rows(rows, rows, d), np.eye(r, dtype=np.int64)]).tolist()
-    pairs = []
-    while hit := next(((i, j) for i, j in np.ndindex(r, r) if math.gcd(g[i][j], d) == 1), None):
-        i, j = hit
-        s = pow(g[i][j], -1, d)
-        a, b = g[i], [s * c % d for c in g[j]]
-        # t - chi(t, b) a + chi(t, a) b, where chi(t, b) = s t[j] and chi(t, a) = t[i]
-        g = [[(c - s * t[j] * x + t[i] * y) % d for c, x, y in zip(t, a, b)] for t in g]
-        pairs += [a[r:], b[r:]]
-    ab = np.array(pairs, dtype=np.int64).reshape(len(pairs), r) @ rows % d
-    return (ab[0::2], ab[1::2]) if H.order == d ** len(pairs) else None
+    a, b = [], []
+    while len(hit := np.flatnonzero(np.gcd(chi := _chi_rows(rows, rows, d), d) == 1)):
+        i, j = divmod(int(hit[0]), len(rows))  # the first unit in row-major order
+        s = pow(int(chi[i, j]), -1, d)
+        a.append(rows[i])
+        b.append(s * rows[j] % d)
+        # t - chi(t, b) a + chi(t, a) b, where chi(t, b) = s chi(t, w) and chi(t, a) = chi(t, u)
+        rows = (rows - s * chi[:, j, None] % d * a[-1] % d + chi[:, i, None] * b[-1] % d) % d
+    ab = np.array(a + b, dtype=np.int64).reshape(-1, rows.shape[1])
+    return (ab[: len(a)], ab[len(a) :]) if H.order == d ** (2 * len(a)) else None
 
 
 def encoded_subgroup(K: PauliSubgroup) -> PauliSubgroup:

@@ -279,3 +279,29 @@ def scanning_howell(rows, d: int):
         out.append(p)
         pivots.append(c)
     return np.array(out, dtype=np.int64).reshape(len(out), a.shape[1]), tuple(pivots)
+
+
+def table_symplectic_pairs(H):
+    """Symplectic pairs of the Howell rows of H by Gram-Schmidt on a table of Python ints.
+
+    Row t of the table holds chi(t, u) for every Howell row u, then t's coefficients
+    over the Howell rows.  The first unit chi(u, w) in row-major order pairs a = u
+    with b = w / chi(u, w), and every table row t becomes t - chi(t, b) a + chi(t, a) b:
+    a projected row is orthogonal to the pair, so its chi entries stay its chi with
+    the projected rows.  One product of the coefficients with the Howell rows gives
+    the pairs, or None when they do not span H; ``groups._symplectic_pairs`` must agree.
+    """
+    d, rows = H.d, H._gens
+    r, n = len(rows), H.n
+    chi = (rows[:, :n] @ rows[:, n:].T - rows[:, n:] @ rows[:, :n].T) % d
+    g = np.hstack([chi, np.eye(r, dtype=np.int64)]).tolist()
+    pairs = []
+    while hit := next(((i, j) for i, j in np.ndindex(r, r) if math.gcd(g[i][j], d) == 1), None):
+        i, j = hit
+        s = pow(g[i][j], -1, d)
+        a, b = g[i], [s * c % d for c in g[j]]
+        # t - chi(t, b) a + chi(t, a) b, where chi(t, b) = s t[j] and chi(t, a) = t[i]
+        g = [[(c - s * t[j] * x + t[i] * y) % d for c, x, y in zip(t, a, b)] for t in g]
+        pairs += [a[r:], b[r:]]
+    ab = np.array(pairs, dtype=np.int64).reshape(len(pairs), r) @ rows % d
+    return (ab[0::2], ab[1::2]) if H.order == d ** len(pairs) else None

@@ -299,12 +299,26 @@ def test_span_closure_needs_adjoint_multipliers():
     alg.verify()
 
 
-def test_span_closure_candidates_per_element(monkeypatch):
-    # spinning multiplies each element by at most 2 #gens operators: the generators
-    # and their adjoints, with no identity direction
+def closure_with_candidate_rows(monkeypatch, gens):
+    """span_closure(gens) and the number of product rows it offered _append_independent."""
     import paulipriv.algebra as algebra_module
 
     real = algebra_module._append_independent
+    rows = []
+
+    def counting(stack, cands):
+        if stack is not None:  # products, not the initial span{I, gens}
+            rows.append(len(cands))
+        return real(stack, cands)
+
+    with monkeypatch.context() as m:
+        m.setattr(algebra_module, "_append_independent", counting)
+        return span_closure(gens), sum(rows)
+
+
+def test_span_closure_candidates_per_element(monkeypatch):
+    # spinning multiplies each element by at most 2 #gens operators: the generators
+    # and their adjoints, with no identity direction
     rng = np.random.default_rng(107)
     basis = planted_basis(((2, 3), (3, 2)), haar_unitary(rng, 12))
     cases = [
@@ -314,16 +328,29 @@ def test_span_closure_candidates_per_element(monkeypatch):
         list(np.tensordot(rng.standard_normal((2, len(basis))), basis, axes=1)),
     ]
     for gens in cases:
-        rows = []
+        alg, rows = closure_with_candidate_rows(monkeypatch, gens)
+        assert rows <= 2 * len(gens) * alg.dim
 
-        def counting(stack, cands):
-            if stack is not None:  # products, not the initial span{I, gens}
-                rows.append(len(cands))
-            return real(stack, cands)
 
-        monkeypatch.setattr(algebra_module, "_append_independent", counting)
-        alg = span_closure(gens)
-        assert sum(rows) <= 2 * len(gens) * alg.dim
+def test_span_closure_takes_a_hermitian_generator_once(monkeypatch):
+    # a generator equal to its adjoint (a Pauli, a delta projector, x + x^dag) is one
+    # multiplier, not two: #gens candidate rows per element, and the same algebra
+    rng = np.random.default_rng(108)
+    basis = planted_basis(((2, 3), (1, 2)), haar_unitary(rng, 8))
+    x = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
+    cases = [
+        [dense(s) for s in ("ZII", "IZI", "IIZ")],
+        [dense(s) for s in ("ZII", "IZI", "IIZ", "XXI", "IXX")],
+        [dense(s) for s in ("IX", "YY", "YZ")],
+        [np.diag(np.eye(4)[i]).astype(complex) for i in range(3)],
+        [x + x.conj().T, dense("ZXY")],
+    ]
+    for gens in cases:
+        alg, rows = closure_with_candidate_rows(monkeypatch, gens)
+        assert rows <= len(gens) * alg.dim
+        ref = product_closure(gens)
+        assert alg.dim == len(ref)
+        assert np.abs(alg.rows().conj().T @ alg.rows() - ref.conj().T @ ref).max() <= 1e-8
 
 
 def test_span_closure_scales_its_multipliers():

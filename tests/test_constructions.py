@@ -33,12 +33,18 @@ from paulipriv import (
     subgroup_algebra,
     two_qutrit_demo,
 )
-from paulipriv import Channel, OperatorAlgebra, annihilator, intersect
+from paulipriv import Channel, NumericalAmbiguityError, OperatorAlgebra, annihilator, intersect
 from paulipriv.algebra import _verify_block_form
-from paulipriv.constructions import phase_flip_demo
+from paulipriv.constructions import _frame_decomposition, phase_flip_demo
 from paulipriv.cli import _algebra_from_arg
 from paulipriv.groups import _symplectic_pairs, generating_set
-from helpers import random_abelian_subgroup, random_maximal_abelian, transvect
+from helpers import (
+    random_abelian_subgroup,
+    random_maximal_abelian,
+    random_subgroup,
+    table_symplectic_pairs,
+    transvect,
+)
 
 
 def dense(s, d=2):
@@ -442,9 +448,18 @@ def refuse_dense_decomposition(monkeypatch):
     monkeypatch.setattr(algebra_module, "_decompose", refuse)
 
 
+def pipeline_op(d, n, k):
+    """The benchmark's certify_pipeline op on pipeline_group(d, n, k): close, the
+    pipeline, structure_type and is_quasiorthogonal(subgroup_algebra(K), alg)."""
+    K = close(generating_set(pipeline_group(d, n, k)), d=d, n=n)
+    pipeline = private_algebra_for_max_abelian if k == n else private_algebra_for_abelian
+    alg, cert = pipeline(K)
+    st, _ = structure_type(alg)
+    assert cert.verdict and st.blocks == ((d**n // d ** (k // 2), d ** (k // 2)),)
+    assert is_quasiorthogonal(subgroup_algebra(K), alg)
+
+
 def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch):
-    # the benchmark's certify_pipeline op: close, the pipeline, structure_type and
-    # is_quasiorthogonal(subgroup_algebra(K), alg)
     import paulipriv.constructions as constructions_module
 
     stacks = []
@@ -455,15 +470,29 @@ def test_pipeline_op_draws_no_dense_decomposition_and_no_group_stack(monkeypatch
 
     refuse_dense_decomposition(monkeypatch)
     monkeypatch.setattr(constructions_module, "dense_paulis", counting)
-    for d, n, k in FRAME_CASES:
-        K = close(generating_set(pipeline_group(d, n, k)), d=d, n=n)
-        pipeline = private_algebra_for_max_abelian if k == n else private_algebra_for_abelian
-        alg, cert = pipeline(K)
-        st, _ = structure_type(alg)
-        assert cert.verdict and st.blocks == ((d**n // d ** (k // 2), d ** (k // 2)),)
-        assert is_quasiorthogonal(subgroup_algebra(K), alg)
+    for case in FRAME_CASES:
+        pipeline_op(*case)
     # one dense stack per case: the 2m generators of the frame, never H or K
     assert stacks == [2 * (k // 2) for _, _, k in FRAME_CASES]
+
+
+def test_pipeline_op_runs_no_eigendecomposition(monkeypatch):
+    # the frame reads V0 off the columns of its projector
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for case in FRAME_CASES:
+        pipeline_op(*case)
+
+
+def test_frame_refuses_pairs_that_do_not_pair():
+    H = encoded_diagonal(4)
+    a, b = _symplectic_pairs(H)
+    with pytest.raises(NumericalAmbiguityError, match="unitarity"):  # b = a: each B^tau V0 is V0
+        _frame_decomposition(H, a, a)
+    with pytest.raises(NumericalAmbiguityError, match="has 8 orbit columns, not N/q = 4"):
+        _frame_decomposition(H, a[[0, 0]], b)  # a_2 = a_1 fixes a space of rank N/2
 
 
 def test_pipeline_at_nine_qubits_reads_no_dense_basis():
@@ -545,6 +574,25 @@ def test_frame_route_agrees_with_the_generic_route(monkeypatch, d, n, m):
         x = np.random.default_rng(N).standard_normal((3, N, N)).astype(complex)
         for y in x:
             assert np.abs(apply_channel(E, y) - apply_channel(E_dense, y)).max() < 1e-9
+
+
+def listed(pairs):
+    return None if pairs is None else [p.tolist() for p in pairs]
+
+
+def test_symplectic_pairs_are_the_table_oracle_pairs():
+    groups = [symplectic_group(*case) for case in SYMPLECTIC_CASES]
+    groups += [encoded_subgroup(pipeline_group(*case)) for case in FRAME_CASES]
+    for d in range(2, 13):
+        rng = np.random.default_rng([d, 26])
+        groups += [random_subgroup(rng, d, int(rng.integers(1, 4))) for _ in range(46)]
+    assert len(groups) >= 500 + len(SYMPLECTIC_CASES) + len(FRAME_CASES)
+    paired = 0
+    for H in groups:
+        pairs = listed(_symplectic_pairs(H))
+        assert pairs == listed(table_symplectic_pairs(H))
+        paired += pairs is not None
+    assert len(SYMPLECTIC_CASES) + len(FRAME_CASES) < paired < len(groups)
 
 
 def test_a_group_with_a_centre_keeps_the_generic_route_bit_for_bit():
